@@ -1,7 +1,9 @@
 """Exact LP decision, verifiers, Fourier-Motzkin route, and 0/1 search."""
 
+import hashlib
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +20,8 @@ from sephyp.feasibility import (
     verify_equatable,
     verify_separating,
 )
-from sephyp.hypercore import Hypergraph
+from sephyp.hypercore import Hypergraph, enumerate_hypergraphs
+from sephyp.jsonio import certificate_obj, dumps
 
 ZERO6 = tuple(Fraction(0) for _ in range(6))
 
@@ -191,3 +194,56 @@ class TestDichotomy:
                 assert find_binary_certificate(h, 2 * h.k) is None
             if h.n <= 6:
                 assert decide_fm(h).kind == kind
+
+
+def _threshold_edges(rng, ksets, n):
+    """k-sets of nonnegative sum under a random integer labeling, shifted by
+    the median k-set sum so about half the k-sets are edges."""
+    x = [rng.randint(-9, 9) for _ in range(n)]
+    sums = sorted(sum(x[v - 1] for v in g) for g in ksets)
+    median = sums[len(sums) // 2]
+    k = len(ksets[0])
+    return {g for g in ksets if sum(k * x[v - 1] - median for v in g) >= 0}
+
+
+def _golden_random_corpus():
+    """Fixed seeded corpus with n <= 10, k in {3, 4}: per (n, k), a threshold
+    instance, the same with three k-sets flipped, and a uniformly random one,
+    twice over."""
+    rng = random.Random(20220615)
+    corpus = []
+    for n, k, _ in product(range(7, 11), (3, 4), range(2)):
+        ksets = list(combinations(range(1, n + 1), k))
+        edges = _threshold_edges(rng, ksets, n)
+        flips = {ksets[rng.randrange(len(ksets))] for _ in range(3)}
+        corpus.append(Hypergraph(n, k, frozenset(edges)))
+        corpus.append(Hypergraph(n, k, frozenset(edges ^ flips)))
+        corpus.append(Hypergraph(n, k, frozenset(g for g in ksets if rng.random() < 0.5)))
+    return corpus
+
+
+def _certificate_digest(instances) -> str:
+    digest = hashlib.sha256()
+    for h in instances:
+        digest.update(dumps(certificate_obj(decide(h))).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenCertificates:
+    """decide() must keep returning byte-identical certificates; the digests
+    were recorded from the Fraction-tableau simplex."""
+
+    @pytest.mark.parametrize(
+        "n,k,expected",
+        [
+            (5, 2, "6714bfc34f8f7ff8217c443a26cd5dc63a309f8c6294853bfe3a0d684157ae74"),
+            (5, 3, "4a6aa670a559d4c5e77a088d331618aea7f3facf76cc94ff617e3e34059c306d"),
+        ],
+    )
+    def test_exhaustive(self, n, k, expected):
+        assert _certificate_digest(enumerate_hypergraphs(n, k)) == expected
+
+    def test_seeded_random(self):
+        assert _certificate_digest(_golden_random_corpus()) == (
+            "97696354384f8ba17c16e3d2d61ca26325c2642096e62923d1d993aeebe3d13a"
+        )
