@@ -107,6 +107,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8: {exc}")
 
 
 def _load_hypergraph(path: str, budget: Optional[int]) -> Hypergraph:

@@ -1,11 +1,13 @@
 """Exact rational separability decision with independently verifiable certificates.
 
-Everything here runs over fractions.Fraction; there is no floating point and
-no tolerance. A hypergraph is either separable (a vertex labeling x realizes
-the edge set as the k-sets of nonnegative sum) or equatable (a nonnegative,
-nonzero k-set labeling balances edge mass against non-edge mass at every
-vertex), never both; decide() returns whichever certificate exists and always
-self-checks it before returning.
+All arithmetic is exact: certificates and verifiers use fractions.Fraction,
+and the simplex in decide() keeps an integer tableau over one shared positive
+denominator; there is no floating point and no tolerance. A hypergraph is
+either separable (a vertex labeling x realizes the edge set as the k-sets of
+nonnegative sum) or equatable (a nonnegative, nonzero k-set labeling balances
+edge mass against non-edge mass at every vertex), never both; decide()
+returns whichever certificate exists and always self-checks it before
+returning.
 
 Two independent deciders are provided: decide() runs an exact phase-I simplex
 (Bland's rule, lexicographic column order), and decide_fm() runs
@@ -136,9 +138,12 @@ def separating_violation(h: Hypergraph, x) -> Optional[KSet]:
     vals = [Fraction(v) for v in x]
     if len(vals) != h.n:
         raise ValueError(f"labeling has length {len(vals)}, expected {h.n}")
+    # Scaling by the positive lcm of the denominators keeps every sign, so
+    # the k-set sums can be taken over ints (w is indexed by vertex).
+    scale = lcm(*(v.denominator for v in vals))
+    w = [0] + [v.numerator * (scale // v.denominator) for v in vals]
     for g in combinations(range(1, h.n + 1), h.k):
-        total = sum(vals[v - 1] for v in g)
-        if (g in h.edges) != (total >= 0):
+        if (g in h.edges) != (sum(map(w.__getitem__, g)) >= 0):
             return g
     return None
 
@@ -177,6 +182,12 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     and on infeasibility the final dual values scale to a separating x. Bland's
     rule plus the fixed lexicographic column order make the result
     deterministic within a build.
+
+    The tableau is fraction-free (Bareiss): every entry, the objective row
+    included, is an int, and the true tableau is the int one divided by d,
+    the last pivot (d = 1 at the start). Pivots are positive, so d stays
+    positive, signs and ratios are the true ones, and the pivot choices are
+    those of the rational tableau. Fractions appear only in the answer.
     """
     system = build_system(h, budget)
     m = len(system.rows)
@@ -186,88 +197,71 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
 
     # Equality rows: n vertex-balance rows (columns of A) plus the
     # normalization row -b . y = 1; rhs is 0 everywhere except that last row.
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i in range(rows_count):
-        row = [ZERO] * width
         if i < n:
-            for g in range(m):
-                a = system.matrix[g][i]
-                if a:
-                    row[g] = Fraction(a)
+            row = [a[i] for a in system.matrix]
         else:
-            for g in range(m):
-                if system.rhs[g]:
-                    row[g] = ONE  # -b entries: 1 on non-edges
-            row[-1] = ONE
-        row[m + i] = ONE
+            row = [-b for b in system.rhs]  # -b entries: 1 on non-edges
+        row += [0] * (rows_count + 1)
+        row[m + i] = 1
         tableau.append(row)
+    tableau[n][-1] = 1
 
     basis = [m + i for i in range(rows_count)]
     # Phase-I objective row: reduced cost of column j is -sum of its entries
     # (cost 0 minus dual prices, all 1 on the artificial basis); artificial
     # columns themselves are basic with reduced cost 0. The rhs cell holds
     # minus the objective value.
-    z = [ZERO] * width
-    for j in range(width):
-        total = ZERO
-        for i in range(rows_count):
-            total += tableau[i][j]
-        z[j] = -total
-    for i in range(rows_count):
-        z[m + i] = ZERO
+    z = [-sum(col) for col in zip(*tableau)]
+    z[m:m + rows_count] = [0] * rows_count
+    d = 1
 
     while True:
-        pivot_col = -1
-        for j in range(width - 1):
-            if z[j] < 0:
-                pivot_col = j
-                break
+        pivot_col = next((j for j in range(width - 1) if z[j] < 0), -1)
         if pivot_col < 0:
             break
+        # Ratio test rhs_i / coeff_i by cross-multiplication (coefficients
+        # are positive); ties go to the smaller basic column.
         pivot_row = -1
-        best = None
         for i in range(rows_count):
             coeff = tableau[i][pivot_col]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
+                if pivot_row < 0:
+                    pivot_row = i
+                    continue
+                lhs = tableau[i][-1] * tableau[pivot_row][pivot_col]
+                rhs = tableau[pivot_row][-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
         if pivot_row < 0:
             raise InternalVerificationError("phase-I simplex unbounded")
+        # Integer-preserving update: the pivot row stays as it is, every
+        # other row becomes (p * row - row[c] * prow) / d, exactly by
+        # Sylvester's identity; then d = p.
         prow = tableau[pivot_row]
-        inv = ONE / prow[pivot_col]
-        if inv != 1:
-            for j in range(width):
-                if prow[j]:
-                    prow[j] *= inv
-        for i in range(rows_count):
-            if i == pivot_row:
+        p = prow[pivot_col]
+        for target in tableau + [z]:
+            if target is prow:
                 continue
-            factor = tableau[i][pivot_col]
-            if factor:
-                target = tableau[i]
-                for j in range(width):
-                    if prow[j]:
-                        target[j] -= factor * prow[j]
-        factor = z[pivot_col]
-        if factor:
-            for j in range(width):
-                if prow[j]:
-                    z[j] -= factor * prow[j]
+            f = target[pivot_col]
+            if f:
+                target[:] = [(p * a - f * b) // d for a, b in zip(target, prow)]
+            elif p != d:
+                target[:] = [p * a // d for a in target]
+        d = p
         basis[pivot_row] = pivot_col
 
-    objective = -z[-1]
-    if objective == 0:
+    if z[-1] == 0:  # phase-I optimum 0: the alternative system is feasible
         labeling: SetLabeling = {}
         for i, col in enumerate(basis):
             if col < m and tableau[i][-1]:
-                labeling[system.rows[col]] = tableau[i][-1]
+                labeling[system.rows[col]] = Fraction(tableau[i][-1], d)
         return _package_equatable(h, labeling)
 
     # Infeasible: dual values u_i = 1 - reduced cost of artificial i satisfy
     # A (u[:n]) <= u[n] b with u[n] = objective > 0, so x = u[:n] / u[n].
-    u = [ONE - z[m + i] for i in range(rows_count)]
+    u = [ONE - Fraction(z[m + i], d) for i in range(rows_count)]
     lam = u[n]
     if lam <= 0:
         raise InternalVerificationError("Farkas scaling factor not positive")

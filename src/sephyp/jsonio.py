@@ -104,12 +104,18 @@ def graph_obj(g: Graph) -> dict:
     return {"vertices": g.vertices, "edges": [list(e) for e in g.edges]}
 
 
-def parse_instance(text: str) -> tuple[str, Instance]:
-    """Parse an instance file, discriminated by its "type" field."""
+def _loads(text: str) -> Any:
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply")
+
+
+def parse_instance(text: str) -> tuple[str, Instance]:
+    """Parse an instance file, discriminated by its "type" field."""
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("instance file must be a JSON object")
     kind = _require(obj, "type", "instance")
@@ -135,10 +141,7 @@ def instance_obj(kind: str, instance: Instance) -> dict:
 
 
 def parse_partition(text: str) -> Partition:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("partition file must be a JSON object")
     parts = _require(obj, "parts", "partition")
@@ -148,10 +151,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_certificate(text: str) -> Certificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("certificate file must be a JSON object")
     kind = _require(obj, "kind", "certificate")

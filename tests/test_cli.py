@@ -50,6 +50,18 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "no/such/file.json")
         assert code == 64
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000)
+        code, _, err = run(capsys, "decide", str(bad))
+        assert code == 64 and "parse error" in err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"type": "hypergraph", "n": 3, "k": 1, "edges": [], "x": "\xe9"}')
+        code, _, err = run(capsys, "decide", str(bad))
+        assert code == 64 and "parse error" in err
+
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SEPHYP_BUDGET", "3")
         code, _, err = run(capsys, "decide", f"{FX}/separable_six.json")

@@ -129,6 +129,23 @@ class TestDecide:
         with pytest.raises(BudgetExceeded):
             decide(counterexample_nine, budget=10)
 
+    @pytest.mark.parametrize("n,k", [(11, 4), (13, 5)])
+    def test_large_threshold_and_flipped(self, n, k):
+        # long pivot sequences and a growing shared denominator, far beyond
+        # the shapes the property tests reach
+        rng = random.Random(n * 100 + k)
+        ksets = list(combinations(range(1, n + 1), k))
+        edges = _threshold_edges(rng, ksets, n)
+        flips = set(rng.sample(ksets, 3))
+        for edge_set, threshold in ((edges, True), (edges ^ flips, False)):
+            h = Hypergraph(n, k, frozenset(edge_set))
+            cert = decide(h)
+            if cert.kind == "separable":
+                assert verify_separating(h, cert.x)
+            else:
+                assert not threshold
+                assert verify_equatable(h, cert.as_dict())
+
 
 class TestDecideFm:
     def test_agrees_with_lp_on_fixtures(self, sep_six, eq_six, paving_five, complete_two_four):
