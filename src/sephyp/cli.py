@@ -12,7 +12,9 @@ enumerate, search-cert. Exit codes are a stable contract:
     70  internal verification failure (a bug, not user error)
 
 The environment variable SEPHYP_BUDGET (an integer) overrides the default
-numeric budgets of the underlying operations.
+numeric budgets of the underlying operations. One k-set budget, 200000 by
+default, is checked before any C(n,k) universe is built; enumeration caps
+C(n,k) at 24.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
     RankZero,
 )
 from .feasibility import (
-    DECIDE_ROW_BUDGET,
     SeparableCertificate,
     decide,
     decide_fm,
@@ -296,7 +297,7 @@ def _cmd_oracle_decide(args: argparse.Namespace) -> int:
         "queries": decision.queries_used,
         "trace": [[list(q), a] for q, a in decision.trace],
     }
-    if matroid is not None and comb(n, k) <= (budget or DECIDE_ROW_BUDGET):
+    if matroid is not None:
         lp_kind = decide(matroid.carrier, budget).kind
         agrees = lp_kind == decision.verdict
         lines_out.append(f"cross-check: {lp_kind} ({'agrees' if agrees else 'DISAGREES'})")

@@ -24,12 +24,10 @@ from math import comb, gcd, lcm
 from typing import Optional, Union
 
 from .errors import BudgetExceeded, InternalVerificationError
-from .hypercore import Hypergraph, KSet
+from .hypercore import Hypergraph, KSet, all_ksets
 
 SetLabeling = dict[KSet, Fraction]
 
-# decide() refuses above this many k-set rows.
-DECIDE_ROW_BUDGET = 200_000
 # decide_fm() refuses above this many vertices (variable-elimination blowup).
 FM_VERTEX_BUDGET = 6
 # find_binary_certificate() refuses above this many support-combinations.
@@ -79,23 +77,18 @@ class FarkasSystem:
 
 
 def build_system(h: Hypergraph, budget: Optional[int] = None) -> FarkasSystem:
-    cap = DECIDE_ROW_BUDGET if budget is None else budget
-    m = comb(h.n, h.k)
-    if m > cap:
-        raise BudgetExceeded(f"C({h.n},{h.k}) = {m} rows exceeds budget {cap}")
-    rows = []
+    rows = all_ksets(h.n, h.k, budget)
     matrix = []
     rhs = []
-    for g in combinations(range(1, h.n + 1), h.k):
+    for g in rows:
         is_edge = g in h.edges
         sign = -1 if is_edge else 1
         row = [0] * h.n
         for v in g:
             row[v - 1] = sign
-        rows.append(g)
         matrix.append(tuple(row))
         rhs.append(0 if is_edge else -1)
-    return FarkasSystem(tuple(rows), tuple(matrix), tuple(rhs))
+    return FarkasSystem(rows, tuple(matrix), tuple(rhs))
 
 
 def _coprime_integer_scale(values: list[Fraction]) -> list[Fraction]:
@@ -154,19 +147,23 @@ def verify_separating(h: Hypergraph, x) -> bool:
 
 def equatable_violation(h: Hypergraph, y: SetLabeling) -> Optional[str]:
     """Human-readable description of the first defect in y, or None if valid."""
-    full = set(combinations(range(1, h.n + 1), h.k))
     for g in sorted(y):
-        if g not in full:
+        # A k-subset of 1..n is exactly a strictly increasing k-tuple within 1..n.
+        if not (len(g) == h.k and 1 <= g[0] and g[-1] <= h.n and all(a < b for a, b in zip(g, g[1:]))):
             return f"set {g} is not a {h.k}-subset of 1..{h.n}"
         if y[g] < 0:
             return f"set {g} has negative value {y[g]}"
     if not any(y.values()):
         return "labeling is identically zero"
+    edge_mass = [ZERO] * (h.n + 1)
+    non_mass = [ZERO] * (h.n + 1)
+    for g, val in y.items():
+        mass = edge_mass if g in h.edges else non_mass
+        for v in g:
+            mass[v] += val
     for v in range(1, h.n + 1):
-        edge_mass = sum((val for g, val in y.items() if v in g and g in h.edges), ZERO)
-        non_mass = sum((val for g, val in y.items() if v in g and g not in h.edges), ZERO)
-        if edge_mass != non_mass:
-            return f"vertex {v} imbalanced: edge mass {edge_mass}, non-edge mass {non_mass}"
+        if edge_mass[v] != non_mass[v]:
+            return f"vertex {v} imbalanced: edge mass {edge_mass[v]}, non-edge mass {non_mass[v]}"
     return None
 
 
@@ -267,10 +264,6 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
         raise InternalVerificationError("Farkas scaling factor not positive")
     x = [u[i] / lam for i in range(n)]
     return _package_separable(h, x)
-
-
-def kind_of(cert: Certificate) -> str:
-    return cert.kind
 
 
 # ---------------------------------------------------------------------------

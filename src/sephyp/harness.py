@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetExceeded, RankCollapse
+from .errors import RankCollapse
 from .feasibility import decide, verify_equatable
 from .hypercore import (
     ENUMERATION_BIT_BUDGET,
@@ -62,12 +60,16 @@ class EnumerationReport:
 
 
 class MaskTables:
-    """Precomputed structures for bitmask-level scans of all (n, k) instances."""
+    """Precomputed structures for bitmask-level scans of all (n, k) instances.
 
-    def __init__(self, n: int, k: int):
+    The k-sets are gated at ENUMERATION_BIT_BUDGET (one mask bit each) unless
+    a budget is given; the (k-1)-set cover masks use the default k-set gate.
+    """
+
+    def __init__(self, n: int, k: int, budget: Optional[int] = None):
         self.n = n
         self.k = k
-        self.ksets = all_ksets(n, k)
+        self.ksets = all_ksets(n, k, ENUMERATION_BIT_BUDGET if budget is None else budget)
         self.m = len(self.ksets)
         self.index = {g: i for i, g in enumerate(self.ksets)}
         self.vsets = [frozenset(g) for g in self.ksets]
@@ -84,7 +86,7 @@ class MaskTables:
                 ]
             self.swaps.append(per_v1)
         self.cover_masks = []
-        for sub in combinations(range(1, n + 1), k - 1):
+        for sub in all_ksets(n, k - 1):
             cm = 0
             ss = set(sub)
             for i, g in enumerate(self.ksets):
@@ -187,11 +189,7 @@ def run_enumeration(
     if unknown:
         raise ValueError(f"unknown checks {sorted(unknown)}")
 
-    cap = ENUMERATION_BIT_BUDGET if budget is None else budget
-    if comb(n, k) > cap:
-        raise BudgetExceeded(f"C({n},{k}) = {comb(n, k)} potential edges exceeds budget {cap}")
-
-    tables = MaskTables(n, k)
+    tables = MaskTables(n, k, budget)
     counts = {
         "total": 0,
         "separable": 0,

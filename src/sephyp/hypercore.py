@@ -17,6 +17,8 @@ from .errors import BudgetExceeded, FormatError, InvalidPartition, NotAGraph
 
 KSet = tuple[int, ...]
 
+# all_ksets refuses above this many k-sets unless given its own budget.
+KSET_BUDGET = 200_000
 # Enumeration refuses above 2**ENUMERATION_BIT_BUDGET instances.
 ENUMERATION_BIT_BUDGET = 24
 # is_r_monotone refuses when C(n,r)**2 exceeds this.
@@ -38,9 +40,18 @@ def canonical_kset(elements: Iterable[int], n: int, k: int) -> KSet:
     return t
 
 
-def all_ksets(n: int, k: int) -> list[KSet]:
-    """All k-subsets of [1, n] in lexicographic order."""
-    return list(combinations(range(1, n + 1), k))
+def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
+    """All k-subsets of [1, n] in lexicographic order.
+
+    This is the one place the C(n,k) universe is built and the one place its
+    size is checked: BudgetExceeded is raised, before anything is built, when
+    C(n,k) exceeds the budget (KSET_BUDGET when None).
+    """
+    cap = KSET_BUDGET if budget is None else budget
+    m = comb(n, k)
+    if m > cap:
+        raise BudgetExceeded(f"C({n},{k}) = {m} k-sets exceeds budget {cap}")
+    return tuple(combinations(range(1, n + 1), k))
 
 
 @dataclass(frozen=True)
@@ -84,10 +95,7 @@ class Hypergraph:
 
     def non_edges(self) -> list[KSet]:
         """All k-subsets of [1, n] not in the edge set, lexicographic."""
-        return [g for g in combinations(range(1, self.n + 1), self.k) if g not in self.edges]
-
-    def num_ksets(self) -> int:
-        return comb(self.n, self.k)
+        return [g for g in all_ksets(self.n, self.k) if g not in self.edges]
 
 
 @dataclass(frozen=True)
@@ -187,8 +195,7 @@ def is_valid_graph_ordering(h: Hypergraph, o: GraphOrdering) -> bool:
 
 def complement(h: Hypergraph) -> Hypergraph:
     """All k-subsets of [1, n] not in h."""
-    full = frozenset(combinations(range(1, h.n + 1), h.k))
-    return Hypergraph(h.n, h.k, full - h.edges)
+    return Hypergraph(h.n, h.k, frozenset(all_ksets(h.n, h.k)) - h.edges)
 
 
 def dual(h: Hypergraph) -> Hypergraph:
@@ -333,10 +340,7 @@ def enumerate_hypergraphs(n: int, k: int, budget: Optional[int] = None) -> Itera
     Mask bit i corresponds to the i-th k-subset in lexicographic order;
     masks ascend from 0, so the stream order is fixed.
     """
-    cap = ENUMERATION_BIT_BUDGET if budget is None else budget
-    m = comb(n, k)
-    if m > cap:
-        raise BudgetExceeded(f"C({n},{k}) = {m} potential edges exceeds budget {cap}")
-    ksets = all_ksets(n, k)
+    ksets = all_ksets(n, k, ENUMERATION_BIT_BUDGET if budget is None else budget)
+    m = len(ksets)
     for mask in range(1 << m):
         yield Hypergraph(n, k, frozenset(ksets[i] for i in range(m) if mask >> i & 1))

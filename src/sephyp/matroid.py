@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -24,10 +23,9 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import Hypergraph, KSet
+from .hypercore import Hypergraph, KSet, all_ksets
 
 CIRCUIT_GROUND_BUDGET = 2 ** 22
-BASIS_ENUM_BUDGET = 200_000
 
 
 def exchange_violation(h: Hypergraph) -> Optional[tuple[KSet, KSet, int]]:
@@ -278,9 +276,7 @@ def fundamental_circuit(m: BasisMatroid, e: KSet, v: int) -> Circuit:
 
 def is_paving(m: BasisMatroid) -> bool:
     """Whether every (k-1)-subset of the ground set is independent."""
-    return all(
-        is_independent(m, s) for s in combinations(range(1, m.n + 1), m.k - 1)
-    )
+    return all(is_independent(m, s) for s in all_ksets(m.n, m.k - 1))
 
 
 def _peel_into_circuits(remainder: frozenset[int], circuit_sets: list[frozenset[int]]) -> bool:
@@ -374,17 +370,12 @@ def from_gf2_matrix(
     oracle = IndependenceOracle(lambda s: gf2_rank(masks[v - 1] for v in s) == len(s))
     if k == n:
         return None, oracle
-    cap = BASIS_ENUM_BUDGET if budget is None else budget
-    if comb(n, k) > cap:
-        raise BudgetExceeded(f"C({n},{k}) basis enumeration exceeds budget {cap}")
-    bases = [
-        s for s in combinations(range(1, n + 1), k)
-        if gf2_rank(masks[v - 1] for v in s) == k
-    ]
+    bases = [s for s in all_ksets(n, k, budget) if gf2_rank(masks[v - 1] for v in s) == k]
     return BasisMatroid(Hypergraph(n, k, frozenset(bases))), oracle
 
 
-def _forest(graph: Graph, edge_indices: Iterable[int]) -> bool:
+def _graphic_rank(graph: Graph, edge_indices: Iterable[int]) -> int:
+    """Rank of a set of edges (indexed 1..): the successful union-find unions."""
     parent = list(range(graph.vertices + 1))
 
     def find(a: int) -> int:
@@ -393,13 +384,14 @@ def _forest(graph: Graph, edge_indices: Iterable[int]) -> bool:
             a = parent[a]
         return a
 
+    rank = 0
     for i in edge_indices:
         u, v = graph.edges[i - 1]
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
 
 
 def from_graph(graph: Graph, budget: Optional[int] = None) -> BasisMatroid:
@@ -408,27 +400,10 @@ def from_graph(graph: Graph, budget: Optional[int] = None) -> BasisMatroid:
     n = len(graph.edges)
     if n == 0:
         raise FormatError("graph has no edges")
-    components = graph.vertices
-    parent = list(range(graph.vertices + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    k = graph.vertices - components
+    k = _graphic_rank(graph, range(1, n + 1))
     if k < 1 or k >= n:
         raise RankCollapse(f"graphic matroid has k={k} on {n} edges")
-    cap = BASIS_ENUM_BUDGET if budget is None else budget
-    if comb(n, k) > cap:
-        raise BudgetExceeded(f"C({n},{k}) basis enumeration exceeds budget {cap}")
-    bases = [s for s in combinations(range(1, n + 1), k) if _forest(graph, s)]
+    bases = [s for s in all_ksets(n, k, budget) if _graphic_rank(graph, s) == k]
     return BasisMatroid(Hypergraph(n, k, frozenset(bases)))
 
 

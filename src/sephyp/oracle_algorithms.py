@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Callable, Optional, Union
 
-from .errors import BudgetExceeded, InternalVerificationError, NotAMatroid, OracleInconsistent
+from .errors import InternalVerificationError, NotAMatroid, OracleInconsistent
 from .feasibility import decide
-from .hypercore import Hypergraph, KSet
+from .hypercore import Hypergraph, KSet, all_ksets
 from .matroid import BasisMatroid, IndependenceOracle, _lines_from_dependence, is_paving
 
 SEPARABLE = "separable"
@@ -132,11 +131,9 @@ def build_adversary(k: int, budget: Optional[int] = None) -> AdversaryInstance:
     if k < 2:
         raise ValueError("adversary construction needs k >= 2")
     n = 2 * k
-    if budget is not None and comb(n, k) > budget:
-        raise BudgetExceeded(f"C({n},{k}) exceeds budget {budget}")
+    full = frozenset(all_ksets(n, k, budget))
     f1 = tuple(range(1, k + 1))
     f2 = tuple(range(k + 1, n + 1))
-    full = frozenset(combinations(range(1, n + 1), k))
     h1 = Hypergraph(n, k, full)
     h2 = Hypergraph(n, k, full - {f1, f2})
     for h in (h1, h2):
@@ -206,14 +203,14 @@ def run_indistinguishability_check(
     queried = set(kset_queries)
     consistent = inst.f1 not in queried and inst.f2 not in queried
 
-    all_ksets = list(combinations(range(1, n + 1), k))
-    pairs_total = comb(n, k) // 2
+    universe = inst.h1.sorted_edges()  # h1 is the complete k-hypergraph
+    pairs_total = len(universe) // 2
     touched: set[tuple[KSet, ...]] = set()
     for q in queried:
         partner = tuple(sorted(set(range(1, n + 1)) - set(q)))
         touched.add(tuple(sorted((q, partner))))
     unqueried_pair = None
-    for g in all_ksets:
+    for g in universe:
         partner = tuple(sorted(set(range(1, n + 1)) - set(g)))
         pair = tuple(sorted((g, partner)))
         if pair not in touched:

@@ -1,12 +1,18 @@
 """CLI exit codes, report content, and output determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sephyp.cli import main
 
 FX = "fixtures"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -223,3 +229,50 @@ class TestSearchCert:
     def test_absence_is_not_disproof(self, capsys):
         code, out, _ = run(capsys, "search-cert", f"{FX}/uniform_two_four.json")
         assert code == 0 and "not a disproof" in out
+
+
+class TestLargeInstance:
+    """A 40-vertex 20-uniform instance, C(40,20) ~ 1.4e11 k-sets: each command
+    must either stay off the k-set universe or refuse it with exit 65. They run
+    in a child with a time and memory limit, so a regression fails instead of
+    hanging the suite or exhausting memory."""
+
+    N, K = 40, 20
+    E1, E2 = list(range(1, 21)), list(range(21, 41))
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        inst = tmp_path / "big.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": self.N, "k": self.K, "edges": [self.E1, self.E2]}))
+        cert = tmp_path / "big_y.json"
+        y = [self.E1, self.E2, list(range(1, 20)) + [21], [20] + list(range(22, 41))]
+        cert.write_text(json.dumps({"kind": "equatable", "y": [{"set": g, "val": "1"} for g in y]}))
+        return str(inst), str(cert)
+
+    @staticmethod
+    def cli(*argv) -> int:
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("SEPHYP_BUDGET", None)
+        done = subprocess.run([sys.executable, "-m", "sephyp.cli", *argv], env=env, capture_output=True,
+                              timeout=30, preexec_fn=limit_memory)
+        assert b"Traceback" not in done.stderr, done.stderr.decode()
+        return done.returncode
+
+    def test_verify_equatable_certificate(self, files):
+        assert self.cli("verify", *files) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["decide"], ["analyze", "--summable"], ["search-cert"],
+    ], ids=" ".join)
+    def test_universe_refused(self, files, argv):
+        assert self.cli(argv[0], files[0], *argv[1:]) == 65
+
+    def test_adversary_refused(self):
+        assert self.cli("adversary", "--k", "11") == 65
+
+    @pytest.mark.parametrize("argv", [["analyze", "--exchangeable"], ["matroid", "verify"]], ids=" ".join)
+    def test_edge_only_commands(self, files, argv):
+        assert self.cli(*argv, files[0]) == 0

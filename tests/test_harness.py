@@ -10,10 +10,13 @@ from sephyp.matroid import is_matroid, is_paving, BasisMatroid
 
 class TestMaskTables:
     def test_matroid_mask_matches_public_op(self):
-        tables = MaskTables(4, 2)
-        for mask in range(1 << tables.m):
-            h = tables.hypergraph(mask)
-            assert tables.is_matroid_mask(mask) == is_matroid(h)
+        # is_matroid_mask is a second, mask-level basis-exchange check; it must
+        # agree with the public one on every instance of each shape
+        for n, k in ((4, 2), (5, 2), (5, 3)):
+            tables = MaskTables(n, k)
+            for mask in range(1 << tables.m):
+                h = tables.hypergraph(mask)
+                assert tables.is_matroid_mask(mask) == is_matroid(h), (n, k, mask)
 
     def test_paving_mask_matches_public_op(self):
         tables = MaskTables(5, 3)
