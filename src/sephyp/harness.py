@@ -7,24 +7,25 @@ condition, the 2-monotone equivalence, complement/dual invariance, the
 loop-deletion and line laws, and the equatable-iff-exchangeable equivalence on the
 proved classes. Any violation is a build-failing bug, not data.
 
-The class filters run on edge-subset bitmasks with precomputed swap tables,
-which keeps exhaustive scans (for example the million 3-hypergraphs on six
-vertices) in the seconds range; instances surviving a filter are
-re-materialized and checked with the ordinary public operations.
+The class filters run on edge-subset bitmasks, unpacked straight into vertex
+masks for the basis-exchange and paving checks that the matroid module
+shares with its public operations; this keeps exhaustive scans (for example
+the million 3-hypergraphs on six vertices) in the seconds range. Instances
+surviving a filter are re-materialized and checked with the ordinary public
+operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import RankCollapse
 from .feasibility import decide, verify_equatable
 from .hypercore import (
     ENUMERATION_BIT_BUDGET,
     Hypergraph,
-    KSet,
     all_ksets,
     complement,
     dual,
@@ -33,7 +34,17 @@ from .hypercore import (
     is_exchangeable,
     is_r_monotone,
 )
-from .matroid import BasisMatroid, circuits, delete, is_binary, is_paving, lines, loops
+from .matroid import (
+    BasisMatroid,
+    _mask_exchange_violation,
+    _mask_is_paving,
+    _vertex_mask,
+    circuits,
+    delete,
+    is_binary,
+    lines,
+    loops,
+)
 
 CLASSES = ("all", "graphs", "matroids", "paving", "binary", "multipartite")
 ALL_CHECKS = frozenset(
@@ -63,7 +74,7 @@ class MaskTables:
     """Precomputed structures for bitmask-level scans of all (n, k) instances.
 
     The k-sets are gated at ENUMERATION_BIT_BUDGET (one mask bit each) unless
-    a budget is given; the (k-1)-set cover masks use the default k-set gate.
+    a budget is given.
     """
 
     def __init__(self, n: int, k: int, budget: Optional[int] = None):
@@ -71,62 +82,26 @@ class MaskTables:
         self.k = k
         self.ksets = all_ksets(n, k, ENUMERATION_BIT_BUDGET if budget is None else budget)
         self.m = len(self.ksets)
-        self.index = {g: i for i, g in enumerate(self.ksets)}
-        self.vsets = [frozenset(g) for g in self.ksets]
-        self.swaps: list[dict[int, list[tuple[int, int]]]] = []
-        for g in self.ksets:
-            s = set(g)
-            per_v1: dict[int, list[tuple[int, int]]] = {}
-            for v1 in g:
-                base = s - {v1}
-                per_v1[v1] = [
-                    (v2, 1 << self.index[tuple(sorted(base | {v2}))])
-                    for v2 in range(1, n + 1)
-                    if v2 not in s
-                ]
-            self.swaps.append(per_v1)
-        self.cover_masks = []
-        for sub in all_ksets(n, k - 1):
-            cm = 0
-            ss = set(sub)
-            for i, g in enumerate(self.ksets):
-                if ss <= set(g):
-                    cm |= 1 << i
-            self.cover_masks.append(cm)
-
-    def edge_indices(self, mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        self.vertex_masks = [_vertex_mask(g) for g in self.ksets]
 
     def hypergraph(self, mask: int) -> Hypergraph:
-        return Hypergraph(self.n, self.k, frozenset(self.ksets[i] for i in self.edge_indices(mask)))
+        return Hypergraph(self.n, self.k, frozenset(_at_bits(self.ksets, mask)))
 
     def is_matroid_mask(self, mask: int) -> bool:
-        if mask == 0:
-            return False
-        idxs = self.edge_indices(mask)
-        vsets, swaps = self.vsets, self.swaps
-        for i1 in idxs:
-            s1 = vsets[i1]
-            sw1 = swaps[i1]
-            for i2 in idxs:
-                if i1 == i2:
-                    continue
-                s2 = vsets[i2]
-                for v1 in s1 - s2:
-                    for v2, bit in sw1[v1]:
-                        if v2 in s2 and mask & bit:
-                            break
-                    else:
-                        return False
-        return True
+        return mask != 0 and _mask_exchange_violation(_at_bits(self.vertex_masks, mask)) is None
 
     def is_paving_mask(self, mask: int) -> bool:
-        return all(mask & cm for cm in self.cover_masks)
+        return _mask_is_paving(_at_bits(self.vertex_masks, mask), self.n, self.k)
+
+
+def _at_bits(items: Sequence, mask: int) -> list:
+    """The items at the set bits of mask, in ascending bit order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def canonical_partition(n: int, k: int) -> list[tuple[int, ...]]:

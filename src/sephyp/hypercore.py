@@ -21,7 +21,7 @@ KSet = tuple[int, ...]
 KSET_BUDGET = 200_000
 # Enumeration refuses above 2**ENUMERATION_BIT_BUDGET instances.
 ENUMERATION_BIT_BUDGET = 24
-# is_r_monotone refuses when C(n,r)**2 exceeds this.
+# is_r_monotone refuses when its vertex-set pairs plus _comparable iterations exceed this.
 MONOTONE_DOMAIN_BUDGET = 4_000_000
 
 ISOLATED = "isolated"
@@ -274,8 +274,17 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
     if not 1 <= r <= h.n:
         raise FormatError(f"need 1 <= r <= n, got r={r}")
     cap = MONOTONE_DOMAIN_BUDGET if budget is None else budget
-    if comb(h.n, r) ** 2 > cap:
-        raise BudgetExceeded(f"C({h.n},{r})^2 exceeds budget {cap}")
+    n, k = h.n, h.k
+    work = 0
+    for s in range(1, r + 1):
+        # C(n,s)^2 ordered pairs of s-sets; each pair with union size u <= r
+        # costs C(n-u, k-s) k-set lookups in _comparable (none when s > k)
+        work += comb(n, s) ** 2
+        if s <= k:
+            work += sum(comb(n, u) * comb(u, s) * comb(s, 2 * s - u) * comb(n - u, k - s)
+                        for u in range(s + 1, min(r, 2 * s) + 1))
+        if work > cap:
+            raise BudgetExceeded(f"{r}-monotone scan on n={n}, k={k} exceeds budget {cap}")
     verts = range(1, h.n + 1)
     for size in range(1, r + 1):
         for r1 in combinations(verts, size):

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
 
 from .errors import FormatError
-from .feasibility import Certificate, EquatableCertificate, SeparableCertificate, SetLabeling
+from .feasibility import Certificate, EquatableCertificate, SeparableCertificate
 from .hypercore import Hypergraph, KSet, Partition
 from .matroid import Gf2Matrix, Graph
 
@@ -83,10 +82,6 @@ def parse_gf2(obj: dict) -> Gf2Matrix:
     return Gf2Matrix(rows, cols, tuple(tuple(r) for r in bits))
 
 
-def gf2_obj(m: Gf2Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "bits": [list(r) for r in m.bits]}
-
-
 def parse_graph(obj: dict) -> Graph:
     vertices = _int_field(obj, "vertices", "graph")
     raw = _require(obj, "edges", "graph")
@@ -98,10 +93,6 @@ def parse_graph(obj: dict) -> Graph:
             raise FormatError(f"graph: edges[{idx}] must be a pair of integers")
         edges.append((e[0], e[1]))
     return Graph(vertices, tuple(edges))
-
-
-def graph_obj(g: Graph) -> dict:
-    return {"vertices": g.vertices, "edges": [list(e) for e in g.edges]}
 
 
 def _loads(text: str) -> Any:
@@ -126,18 +117,6 @@ def parse_instance(text: str) -> tuple[str, Instance]:
     if kind == "graph":
         return kind, parse_graph(obj)
     raise FormatError(f"instance: unknown type {kind!r}")
-
-
-def instance_obj(kind: str, instance: Instance) -> dict:
-    if kind == "hypergraph":
-        body = hypergraph_obj(instance)
-    elif kind == "gf2":
-        body = gf2_obj(instance)
-    elif kind == "graph":
-        body = graph_obj(instance)
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    return {"type": kind, **body}
 
 
 def parse_partition(text: str) -> Partition:

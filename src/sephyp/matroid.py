@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -28,21 +29,59 @@ from .hypercore import Hypergraph, KSet, all_ksets
 CIRCUIT_GROUND_BUDGET = 2 ** 22
 
 
+def _vertex_mask(kset: Iterable[int]) -> int:
+    """A vertex set as an int with bit v set for each vertex v."""
+    mask = 0
+    for v in kset:
+        mask |= 1 << v
+    return mask
+
+
+def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
+    """First (i1, i2, v1), in list order and then ascending v1, such that no
+    v2 in sets[i2] - sets[i1] makes sets[i1] - v1 + v2 one of the sets; or None.
+
+    The sets are vertex masks (see _vertex_mask). This is the one
+    basis-exchange loop: exchange_violation and the harness mask filter call it.
+    """
+    present = set(sets)
+    for s1 in sets:
+        for s2 in sets:
+            only1 = s1 & ~s2
+            while only1:
+                b1 = only1 & -only1
+                base = s1 ^ b1
+                rest = s2 & ~s1
+                while rest:
+                    b2 = rest & -rest
+                    if (base | b2) in present:
+                        break
+                    rest ^= b2
+                else:
+                    return sets.index(s1), sets.index(s2), b1.bit_length() - 1
+                only1 ^= b1
+    return None
+
+
+def _mask_is_paving(sets: list[int], n: int, k: int) -> bool:
+    """Whether the (k-1)-subsets of the k-sets in sets (vertex masks) are all
+    C(n, k-1) of them. Takes O(len(sets) * k) set operations.
+    """
+    covered = set()
+    for s in sets:
+        rest = s
+        while rest:
+            b = rest & -rest
+            covered.add(s ^ b)
+            rest ^= b
+    return len(covered) == comb(n, k - 1)
+
+
 def exchange_violation(h: Hypergraph) -> Optional[tuple[KSet, KSet, int]]:
     """Lexicographically first (E1, E2, v1) with no valid exchange, or None."""
     edges = h.sorted_edges()
-    for e1 in edges:
-        s1 = set(e1)
-        for e2 in edges:
-            if e1 == e2:
-                continue
-            s2 = set(e2)
-            diff2 = s2 - s1
-            for v1 in sorted(s1 - s2):
-                base = s1 - {v1}
-                if not any(tuple(sorted(base | {v2})) in h.edges for v2 in diff2):
-                    return (e1, e2, v1)
-    return None
+    bad = _mask_exchange_violation([_vertex_mask(e) for e in edges])
+    return None if bad is None else (edges[bad[0]], edges[bad[1]], bad[2])
 
 
 def is_matroid(h: Hypergraph) -> bool:
@@ -62,10 +101,6 @@ class BasisMatroid:
         bad = exchange_violation(self.carrier)
         if bad is not None:
             raise NotAMatroid(f"basis exchange fails at (E1={bad[0]}, E2={bad[1]}, v1={bad[2]})")
-
-    @classmethod
-    def from_bases(cls, n: int, k: int, bases: Iterable[Iterable[int]]) -> "BasisMatroid":
-        return cls(Hypergraph.from_edges(n, k, bases))
 
     @property
     def n(self) -> int:
@@ -276,7 +311,7 @@ def fundamental_circuit(m: BasisMatroid, e: KSet, v: int) -> Circuit:
 
 def is_paving(m: BasisMatroid) -> bool:
     """Whether every (k-1)-subset of the ground set is independent."""
-    return all(is_independent(m, s) for s in all_ksets(m.n, m.k - 1))
+    return _mask_is_paving([_vertex_mask(b) for b in m.carrier.edges], m.n, m.k)
 
 
 def _peel_into_circuits(remainder: frozenset[int], circuit_sets: list[frozenset[int]]) -> bool:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 from .errors import InternalVerificationError, NotAMatroid, OracleInconsistent
 from .feasibility import decide
 from .hypercore import Hypergraph, KSet, all_ksets
-from .matroid import BasisMatroid, IndependenceOracle, _lines_from_dependence, is_paving
+from .matroid import BasisMatroid, IndependenceOracle, _lines_from_dependence, is_independent, is_paving
 
 SEPARABLE = "separable"
 EQUATABLE = "equatable"
@@ -147,23 +147,14 @@ def build_adversary(k: int, budget: Optional[int] = None) -> AdversaryInstance:
     return AdversaryInstance(k, h1, h2, f1, f2)
 
 
-def independent_in(h: Hypergraph, subset: KSet) -> bool:
-    """Independence of a subset when h's edges are read as matroid bases."""
-    s = set(subset)
-    if len(s) > h.k:
-        return False
-    return any(s <= set(e) for e in h.edges)
-
-
 def replay_identical(inst: AdversaryInstance, queries: tuple[KSet, ...]) -> bool:
     """Whether h1 and h2 answer identically on every query in the transcript.
 
     They can differ only on the k-set queries f1 and f2, which is exactly
     what makes any strategy avoiding both unable to tell the instances apart.
     """
-    return all(
-        independent_in(inst.h1, q) == independent_in(inst.h2, q) for q in queries
-    )
+    m1, m2 = BasisMatroid(inst.h1), BasisMatroid(inst.h2)
+    return all(is_independent(m1, q) == is_independent(m2, q) for q in queries)
 
 
 class _QueryBudgetExhausted(Exception):

@@ -250,7 +250,7 @@ class TestLargeInstance:
         return str(inst), str(cert)
 
     @staticmethod
-    def cli(*argv) -> int:
+    def cli(*argv) -> subprocess.CompletedProcess:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -259,20 +259,27 @@ class TestLargeInstance:
         done = subprocess.run([sys.executable, "-m", "sephyp.cli", *argv], env=env, capture_output=True,
                               timeout=30, preexec_fn=limit_memory)
         assert b"Traceback" not in done.stderr, done.stderr.decode()
-        return done.returncode
+        return done
 
     def test_verify_equatable_certificate(self, files):
-        assert self.cli("verify", *files) == 0
+        assert self.cli("verify", *files).returncode == 0
 
     @pytest.mark.parametrize("argv", [
-        ["decide"], ["analyze", "--summable"], ["search-cert"],
+        ["decide"], ["analyze", "--summable"], ["search-cert"], ["analyze", "--monotone", "2"],
     ], ids=" ".join)
     def test_universe_refused(self, files, argv):
-        assert self.cli(argv[0], files[0], *argv[1:]) == 65
+        assert self.cli(argv[0], files[0], *argv[1:]).returncode == 65
 
     def test_adversary_refused(self):
-        assert self.cli("adversary", "--k", "11") == 65
+        assert self.cli("adversary", "--k", "11").returncode == 65
 
     @pytest.mark.parametrize("argv", [["analyze", "--exchangeable"], ["matroid", "verify"]], ids=" ".join)
     def test_edge_only_commands(self, files, argv):
-        assert self.cli(*argv, files[0]) == 0
+        assert self.cli(*argv, files[0]).returncode == 0
+
+    def test_paving_of_one_basis(self, tmp_path):
+        # paving is read off the bases' (k-1)-subsets, not the C(40,19) universe
+        inst = tmp_path / "one.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": self.N, "k": self.K, "edges": [self.E1]}))
+        done = self.cli("matroid", "paving", str(inst), "--output", "json")
+        assert (done.returncode, done.stdout) == (0, b'{"paving":false}\n')

@@ -1,29 +1,105 @@
 """Enumeration harness: class filters, counts, and the law-check machinery."""
 
+import random
+from itertools import combinations
+from math import comb
+
 import pytest
 
-from sephyp.errors import BudgetExceeded
+from sephyp.errors import BudgetExceeded, RankZero
 from sephyp.harness import MaskTables, canonical_partition, run_enumeration
 from sephyp.hypercore import enumerate_hypergraphs
-from sephyp.matroid import is_matroid, is_paving, BasisMatroid
+from sephyp.matroid import Gf2Matrix, exchange_violation, from_gf2_matrix, is_matroid, is_paving, BasisMatroid
+
+EXHAUSTIVE_SHAPES = ((4, 2), (5, 2), (5, 3))
+RANDOM_CORPUS_SEED = 4
+
+
+def reference_exchange_violation(h):
+    """Basis exchange read off the definition, on vertex sets: the first
+    (E1, E2, v1) in lexicographic order such that no v2 in E2 - E1 makes
+    E1 - v1 + v2 an edge."""
+    for e1 in sorted(h.edges):
+        for e2 in sorted(h.edges):
+            for v1 in sorted(set(e1) - set(e2)):
+                if not any(tuple(sorted(set(e1) - {v1} | {v2})) in h.edges for v2 in set(e2) - set(e1)):
+                    return e1, e2, v1
+    return None
+
+
+def reference_is_paving(h):
+    """Every (k-1)-subset of the ground set lies in some basis."""
+    return all(any(set(s) <= set(e) for e in h.edges) for s in combinations(range(1, h.n + 1), h.k - 1))
+
+
+def check_exchange(tables, mask):
+    """exchange_violation, is_matroid and is_matroid_mask, which share one
+    basis-exchange core, against the reference scan; returns whether the
+    instance is a matroid."""
+    h = tables.hypergraph(mask)
+    expected = reference_exchange_violation(h)
+    assert exchange_violation(h) == expected, (h, expected)
+    matroid = bool(h.edges) and expected is None
+    assert is_matroid(h) == tables.is_matroid_mask(mask) == matroid, h
+    return matroid
+
+
+def check_paving(tables, mask, matroid):
+    """is_paving_mask, and is_paving on a matroid, against the reference
+    scan; returns whether the instance is paving."""
+    h = tables.hypergraph(mask)
+    paving = reference_is_paving(h)
+    assert tables.is_paving_mask(mask) == paving, h
+    if matroid:
+        assert is_paving(BasisMatroid(h)) == paving, h
+    return paving
+
+
+def random_corpus():
+    """Seeded (tables, mask) pairs with n from 6 to 9: random edge sets of
+    several densities, complete edge sets less a few k-sets, and the bases
+    of random GF(2) matrices, so matroids of both paving kinds turn up."""
+    rng = random.Random(RANDOM_CORPUS_SEED)
+    for _ in range(60):
+        n = rng.randint(6, 9)
+        k = rng.randint(2, n - 2)
+        tables = MaskTables(n, k, comb(n, k))
+        full = (1 << tables.m) - 1
+        density = rng.choice((0.1, 0.5, 0.9))
+        yield tables, sum(1 << i for i in range(tables.m) if rng.random() < density)
+        yield tables, full & ~sum(1 << rng.randrange(tables.m) for _ in range(rng.randint(1, 3)))
+        bits = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(k))
+        try:
+            m, _ = from_gf2_matrix(Gf2Matrix(k, n, bits))
+        except RankZero:
+            continue
+        if m is not None:
+            tables = MaskTables(m.n, m.k, comb(m.n, m.k))
+            yield tables, sum(1 << i for i, g in enumerate(tables.ksets) if g in m.carrier.edges)
 
 
 class TestMaskTables:
     def test_matroid_mask_matches_public_op(self):
-        # is_matroid_mask is a second, mask-level basis-exchange check; it must
-        # agree with the public one on every instance of each shape
-        for n, k in ((4, 2), (5, 2), (5, 3)):
+        for n, k in EXHAUSTIVE_SHAPES:
             tables = MaskTables(n, k)
             for mask in range(1 << tables.m):
-                h = tables.hypergraph(mask)
-                assert tables.is_matroid_mask(mask) == is_matroid(h), (n, k, mask)
+                check_exchange(tables, mask)
 
     def test_paving_mask_matches_public_op(self):
-        tables = MaskTables(5, 3)
-        for mask in range(1, 1 << tables.m):
-            if tables.is_matroid_mask(mask):
-                m = BasisMatroid(tables.hypergraph(mask))
-                assert tables.is_paving_mask(mask) == is_paving(m)
+        for n, k in EXHAUSTIVE_SHAPES:
+            tables = MaskTables(n, k)
+            outcomes = set()
+            for mask in range(1 << tables.m):
+                matroid = tables.is_matroid_mask(mask)
+                outcomes.add((matroid, check_paving(tables, mask, matroid)))
+            assert outcomes == {(False, False), (False, True), (True, False), (True, True)}, (n, k)
+
+    def test_random_corpus_matches_reference(self):
+        outcomes = set()
+        for tables, mask in random_corpus():
+            matroid = check_exchange(tables, mask)
+            outcomes.add((matroid, check_paving(tables, mask, matroid)))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_hypergraph_matches_enumeration_order(self):
         tables = MaskTables(4, 2)

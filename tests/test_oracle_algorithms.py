@@ -14,6 +14,7 @@ from sephyp.matroid import (
     IndependenceOracle,
     from_gf2_matrix,
     from_graph,
+    is_independent,
     is_matroid,
     is_paving,
     BasisMatroid,
@@ -22,7 +23,6 @@ from sephyp.matroid import (
 from sephyp.oracle_algorithms import (
     build_adversary,
     decide_binary_via_oracle,
-    independent_in,
     replay_identical,
     run_indistinguishability_check,
     strategy_binary_algorithm,
@@ -139,9 +139,10 @@ class TestAdversaryConstruction:
 
     def test_instances_differ_only_on_removed_pair(self):
         inst = build_adversary(2)
+        m1, m2 = BasisMatroid(inst.h1), BasisMatroid(inst.h2)
         for size in range(1, 5):
             for s in combinations(range(1, 5), size):
-                same = independent_in(inst.h1, s) == independent_in(inst.h2, s)
+                same = is_independent(m1, s) == is_independent(m2, s)
                 assert same == (s not in (inst.f1, inst.f2))
 
     def test_requires_k_at_least_two(self):
