@@ -11,10 +11,15 @@ enumerate, search-cert. Exit codes are a stable contract:
     67  matroid-requiring subcommand on a non-matroid
     70  internal verification failure (a bug, not user error)
 
-The environment variable SEPHYP_BUDGET (an integer) overrides the default
-numeric budgets of the underlying operations. One k-set budget, 200000 by
-default, is checked before any C(n,k) universe is built; enumeration caps
-C(n,k) at 24.
+SEPHYP_BUDGET (an integer) replaces the default cap of each budget below;
+each is checked before its loop starts, on the work that loop will do:
+
+    operation                               counts                default
+    any building the C(n,k) k-set universe  k-sets                200000
+    enumerate                               instances, 2^C(n,k)   2^24
+    analyze --monotone, --summable          pairs and lookups     4000000
+    matroid circuits, matroid binary        ground subsets, 2^n   2^22
+    search-cert                             support combinations  5000000
 """
 
 from __future__ import annotations
@@ -112,22 +117,26 @@ def _read(path: str) -> str:
         raise FormatError(f"{path} is not UTF-8: {exc}")
 
 
+def _load_matroid(path: str, kind: str, instance, budget: Optional[int]):
+    """A gf2 or graph instance's matroid (None for a free GF(2) matroid) and oracle."""
+    try:
+        if kind == "gf2":
+            return from_gf2_matrix(instance, budget)
+        matroid = from_graph(instance, budget)
+        return matroid, oracle_from_matroid(matroid)
+    except (RankZero, RankCollapse) as exc:
+        raise FormatError(f"{path}: {exc}")
+
+
 def _load_hypergraph(path: str, budget: Optional[int]) -> Hypergraph:
     """Parse an instance file and materialize it to a hypergraph."""
     kind, instance = parse_instance(_read(path))
     if kind == "hypergraph":
         return instance
-    try:
-        if kind == "gf2":
-            matroid, _ = from_gf2_matrix(instance, budget)
-            if matroid is None:
-                raise FormatError(
-                    f"{path}: GF(2) rank equals column count; no 1 <= k < n hypergraph exists"
-                )
-            return matroid.carrier
-        return from_graph(instance, budget).carrier
-    except (RankZero, RankCollapse) as exc:
-        raise FormatError(f"{path}: {exc}")
+    matroid, _ = _load_matroid(path, kind, instance, budget)
+    if matroid is None:
+        raise FormatError(f"{path}: GF(2) rank equals column count; no 1 <= k < n hypergraph exists")
+    return matroid.carrier
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_obj: dict) -> None:
@@ -139,12 +148,11 @@ def _emit(args: argparse.Namespace, text_lines: list[str], json_obj: dict) -> No
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    budget = _env_budget()
-    h = _load_hypergraph(args.path, budget)
+    h = _load_hypergraph(args.path, args.budget)
     if args.method == "fm":
         cert = decide_fm(h)
     else:
-        cert = decide(h, budget)
+        cert = decide(h, args.budget)
     if args.certificate_out:
         with open(args.certificate_out, "w", encoding="utf-8") as fh:
             fh.write(dumps(certificate_obj(cert)))
@@ -153,8 +161,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    budget = _env_budget()
-    h = _load_hypergraph(args.instance, budget)
+    h = _load_hypergraph(args.instance, args.budget)
     cert = parse_certificate(_read(args.certificate))
     if isinstance(cert, SeparableCertificate):
         if len(cert.x) != h.n:
@@ -177,8 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    budget = _env_budget()
-    h = _load_hypergraph(args.path, budget)
+    h = _load_hypergraph(args.path, args.budget)
     lines_out: list[str] = []
     obj: dict = {}
     if args.exchangeable:
@@ -189,14 +195,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             {"e1": list(w.e1), "e2": list(w.e2), "v1": w.v1, "v2": w.v2} if w else None
         )
     if args.summable:
-        q = find_summable_quadruple(h)
+        q = find_summable_quadruple(h, args.budget)
         lines_out.append(f"summable quadruple: {'yes' if q else 'no'}"
                          + (f" (e1={q.e1} e2={q.e2} f1={q.f1} f2={q.f2})" if q else ""))
         obj["summable"] = (
             {"e1": list(q.e1), "e2": list(q.e2), "f1": list(q.f1), "f2": list(q.f2)} if q else None
         )
     if args.monotone is not None:
-        result = is_r_monotone(h, args.monotone, budget)
+        result = is_r_monotone(h, args.monotone, args.budget)
         lines_out.append(f"{args.monotone}-monotone: {'yes' if result else 'no'}")
         obj["monotone"] = {"r": args.monotone, "value": result}
     if args.orderable:
@@ -216,8 +222,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_matroid(args: argparse.Namespace) -> int:
-    budget = _env_budget()
-    h = _load_hypergraph(args.path, budget)
+    h = _load_hypergraph(args.path, args.budget)
     if args.subcommand == "verify":
         if not h.edges:
             _emit(args, ["matroid: no (empty edge set)"], {"matroid": False, "violation": "empty"})
@@ -233,16 +238,12 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
         _emit(args, ["matroid: yes"], {"matroid": True})
         return EXIT_OK
 
-    try:
-        m = BasisMatroid(h)
-    except NotAMatroid as exc:
-        print(f"not a matroid: {exc}", file=sys.stderr)
-        return EXIT_NOT_MATROID
+    m = BasisMatroid(h)  # NotAMatroid -> exit 67
     if args.subcommand == "paving":
         result = is_paving(m)
         _emit(args, [f"paving: {'yes' if result else 'no'}"], {"paving": result})
     elif args.subcommand == "binary":
-        result = is_binary(m, budget)
+        result = is_binary(m, args.budget)
         _emit(args, [f"binary: {'yes' if result else 'no'}"], {"binary": result})
     elif args.subcommand == "lines":
         decomposition = lines(m)  # HasLoops -> exit 66
@@ -254,7 +255,7 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
              "nontrivial_count": decomposition.nontrivial_count},
         )
     elif args.subcommand == "circuits":
-        circ = circuits(m, budget)
+        circ = circuits(m, args.budget)
         _emit(args, [f"circuits: {' '.join(str(list(c)) for c in circ)}"],
               {"circuits": [list(c) for c in circ]})
     elif args.subcommand == "loops":
@@ -264,22 +265,12 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_decide(args: argparse.Namespace) -> int:
-    budget = _env_budget()
     kind, instance = parse_instance(_read(args.path))
     if kind == "hypergraph":
         print("oracle-decide requires a gf2 or graph instance", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    try:
-        if kind == "gf2":
-            matroid, oracle = from_gf2_matrix(instance, budget)
-            n = instance.cols
-            k = matroid.k if matroid is not None else gf2_rank(instance.column_masks())
-        else:
-            matroid = from_graph(instance, budget)
-            oracle = oracle_from_matroid(matroid)
-            n, k = matroid.n, matroid.k
-    except (RankZero, RankCollapse) as exc:
-        raise FormatError(f"{args.path}: {exc}")
+    matroid, oracle = _load_matroid(args.path, kind, instance, args.budget)
+    n, k = (matroid.n, matroid.k) if matroid is not None else (instance.cols, gf2_rank(instance.column_masks()))
 
     if args.max_queries is not None:
         inner = oracle
@@ -298,7 +289,7 @@ def _cmd_oracle_decide(args: argparse.Namespace) -> int:
         "trace": [[list(q), a] for q, a in decision.trace],
     }
     if matroid is not None:
-        lp_kind = decide(matroid.carrier, budget).kind
+        lp_kind = decide(matroid.carrier, args.budget).kind
         agrees = lp_kind == decision.verdict
         lines_out.append(f"cross-check: {lp_kind} ({'agrees' if agrees else 'DISAGREES'})")
         obj["cross_check"] = lp_kind
@@ -329,8 +320,11 @@ def _report_obj(report) -> dict:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    budget = _env_budget()
-    inst = build_adversary(args.k, budget)
+    try:
+        inst = build_adversary(args.k, args.budget)
+    except ValueError as exc:
+        print(f"inapplicable: {exc}", file=sys.stderr)
+        return EXIT_INAPPLICABLE
     strategies = [("no-queries", strategy_no_queries), ("binary-algorithm", strategy_binary_algorithm)]
     query_budget = args.query_budget if args.query_budget else 4 ** args.k + 100
     lines_out = [
@@ -364,10 +358,9 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    budget = _env_budget()
     checks = ALL_CHECKS if args.check == "theorems" else frozenset()
     try:
-        report = run_enumeration(args.n, args.k, args.klass, checks, budget)
+        report = run_enumeration(args.n, args.k, args.klass, checks, args.budget)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INAPPLICABLE
@@ -388,10 +381,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search_cert(args: argparse.Namespace) -> int:
-    budget = _env_budget()
-    h = _load_hypergraph(args.path, budget)
+    h = _load_hypergraph(args.path, args.budget)
     support = args.max_support if args.max_support is not None else 2 * h.k
-    labeling = find_binary_certificate(h, support, budget)
+    labeling = find_binary_certificate(h, support, args.budget)
     if labeling is None:
         _emit(
             args,
@@ -478,6 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.budget = _env_budget()
         return args.fn(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -20,18 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import BudgetExceeded, InternalVerificationError
-from .hypercore import Hypergraph, KSet, all_ksets
+from .hypercore import CERT_SEARCH_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
 
 SetLabeling = dict[KSet, Fraction]
-
-# decide_fm() refuses above this many vertices (variable-elimination blowup).
-FM_VERTEX_BUDGET = 6
-# find_binary_certificate() refuses above this many support-combinations.
-CERT_SEARCH_BUDGET = 5_000_000
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -407,19 +402,17 @@ def find_binary_certificate(
     the balance equations over all vertices forces the support to contain
     equally many edges and non-edges, so odd sizes are skipped and each even
     size 2t is searched by matching vertex-count vectors of t-subsets of
-    edges against t-subsets of non-edges.
+    edges against t-subsets of non-edges, for t up to the smaller count. The
+    combinations walked are gated first (CERT_SEARCH_BUDGET when budget is None).
     """
     if max_support < 1:
         raise ValueError("max_support must be positive")
     edges = h.sorted_edges()
     non = h.non_edges()
-    cap = CERT_SEARCH_BUDGET if budget is None else budget
-    cost = 0
-    for s in range(2, max_support + 1, 2):
-        t = s // 2
-        cost += comb(len(edges), t) + comb(len(non), t)
-    if cost > cap:
-        raise BudgetExceeded(f"certificate search needs {cost} combinations, budget {cap}")
+    sizes = range(1, min(max_support // 2, len(edges), len(non)) + 1)
+    check_budget(budget, CERT_SEARCH_BUDGET,
+                 lambda cap: (capped_comb(len(edges), t, cap) + capped_comb(len(non), t, cap) for t in sizes),
+                 f"certificate search of {len(edges)} edges and {len(non)} non-edges up to support {max_support}")
 
     def count_vector(sets: tuple[KSet, ...]) -> tuple[int, ...]:
         counts = [0] * h.n
@@ -428,10 +421,7 @@ def find_binary_certificate(
                 counts[v - 1] += 1
         return tuple(counts)
 
-    for s in range(2, max_support + 1, 2):
-        t = s // 2
-        if t > len(edges) or t > len(non):
-            continue
+    for t in sizes:
         by_vector: dict[tuple[int, ...], list[tuple[KSet, ...]]] = {}
         for ec in combinations(edges, t):
             by_vector.setdefault(count_vector(ec), []).append(ec)

@@ -24,9 +24,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import RankCollapse
 from .feasibility import decide, verify_equatable
 from .hypercore import (
-    ENUMERATION_BIT_BUDGET,
+    ENUMERATION_BUDGET,
     Hypergraph,
     all_ksets,
+    capped_comb,
+    check_budget,
     complement,
     dual,
     find_summable_quadruple,
@@ -71,16 +73,17 @@ class EnumerationReport:
 
 
 class MaskTables:
-    """Precomputed structures for bitmask-level scans of all (n, k) instances.
-
-    The k-sets are gated at ENUMERATION_BIT_BUDGET (one mask bit each) unless
-    a budget is given.
-    """
+    """Precomputed structures for bitmask-level scans of all (n, k) instances,
+    mask bit i standing for the i-th k-subset in lexicographic order. The
+    2^C(n,k) instances are gated at ENUMERATION_BUDGET unless a budget is
+    given; that count exceeds cap exactly when C(n,k) >= cap.bit_length()."""
 
     def __init__(self, n: int, k: int, budget: Optional[int] = None):
         self.n = n
         self.k = k
-        self.ksets = all_ksets(n, k, ENUMERATION_BIT_BUDGET if budget is None else budget)
+        check_budget(budget, ENUMERATION_BUDGET, lambda cap: [1 << capped_comb(n, k, cap.bit_length())],
+                     f"2^C({n},{k}) instances")
+        self.ksets = all_ksets(n, k)
         self.m = len(self.ksets)
         self.vertex_masks = [_vertex_mask(g) for g in self.ksets]
 
@@ -92,6 +95,13 @@ class MaskTables:
 
     def is_paving_mask(self, mask: int) -> bool:
         return _mask_is_paving(_at_bits(self.vertex_masks, mask), self.n, self.k)
+
+
+def enumerate_hypergraphs(n: int, k: int, budget: Optional[int] = None) -> Iterator[Hypergraph]:
+    """All 2**C(n,k) hypergraphs on [1, n], one per MaskTables mask; masks
+    ascend from 0, so the stream order is fixed."""
+    tables = MaskTables(n, k, budget)
+    return map(tables.hypergraph, range(1 << tables.m))
 
 
 def _at_bits(items: Sequence, mask: int) -> list:
@@ -152,7 +162,6 @@ def run_enumeration(
     klass: str = "all",
     checks: Iterable[str] = (),
     budget: Optional[int] = None,
-    fail_fast: bool = False,
 ) -> EnumerationReport:
     """Enumerate, filter, classify, and law-check one (n, k) corpus."""
     if klass not in CLASSES:
@@ -276,9 +285,6 @@ def run_enumeration(
             problem = _check_circuit_elimination(basis_matroid)
             if problem is not None:
                 violate("circuit_elimination", problem)
-
-        if fail_fast and violations:
-            break
 
     if "dichotomy" in check_set and counts["separable"] + counts["equatable"] != counts["total"]:
         violations.append(

@@ -9,23 +9,48 @@ witnesses are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
-from typing import Iterable, Iterator, Optional
+from itertools import accumulate, combinations
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, FormatError, InvalidPartition, NotAGraph
 
 KSet = tuple[int, ...]
 
-# all_ksets refuses above this many k-sets unless given its own budget.
-KSET_BUDGET = 200_000
-# Enumeration refuses above 2**ENUMERATION_BIT_BUDGET instances.
-ENUMERATION_BIT_BUDGET = 24
-# is_r_monotone refuses when its vertex-set pairs plus _comparable iterations exceed this.
-MONOTONE_DOMAIN_BUDGET = 4_000_000
+# Default caps, each in the unit its operation counts (see check_budget).
+KSET_BUDGET = 200_000  # k-sets built by all_ksets
+ENUMERATION_BUDGET = 2 ** 24  # instances, 2^C(n,k), of harness.MaskTables
+PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of is_r_monotone and find_summable_quadruple
+CIRCUIT_GROUND_BUDGET = 2 ** 22  # ground subsets, 2^n, behind matroid.circuits
+CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
+FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 
 ISOLATED = "isolated"
 DOMINATING = "dominating"
+
+
+def capped_comb(n: int, k: int, cap: int) -> int:
+    """min(C(n, k), cap + 1). The partial products C(n-k+i, i) only grow, so
+    the loop stops once one passes cap; negative n or k raise ValueError."""
+    if n < 0 or k < 0:
+        raise ValueError(f"C({n},{k}) needs non-negative arguments")
+    k = min(k, n - k)
+    c = 1 if k >= 0 else 0
+    for i in range(1, k + 1):
+        if c > cap:
+            break
+        c = c * (n - k + i) // i
+    return min(c, cap + 1)
+
+
+def check_budget(budget: Optional[int], default: int, work: Callable[[int], Iterable[int]], what: str) -> None:
+    """The one budget gate, run before an operation starts its loop. The cap is
+    budget, or the operation's default when None. work(cap) yields the work as
+    terms, kept small with capped_comb; the first running total past the cap
+    stops the sum and raises BudgetExceeded, naming what with {count} filled in."""
+    cap = default if budget is None else budget
+    count = next((total for total in accumulate(work(cap), initial=0) if total > cap), None)
+    if count is not None:
+        raise BudgetExceeded(f"{what.format(count=count)} exceeds budget {cap}")
 
 
 def canonical_kset(elements: Iterable[int], n: int, k: int) -> KSet:
@@ -47,10 +72,7 @@ def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
     size is checked: BudgetExceeded is raised, before anything is built, when
     C(n,k) exceeds the budget (KSET_BUDGET when None).
     """
-    cap = KSET_BUDGET if budget is None else budget
-    m = comb(n, k)
-    if m > cap:
-        raise BudgetExceeded(f"C({n},{k}) = {m} k-sets exceeds budget {cap}")
+    check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], f"C({n},{k}) >= {{count}} k-sets")
     return tuple(combinations(range(1, n + 1), k))
 
 
@@ -226,15 +248,19 @@ def is_exchangeable(h: Hypergraph) -> Optional[ExchangeWitness]:
     return None
 
 
-def find_summable_quadruple(h: Hypergraph) -> Optional[SummableQuadruple]:
+def find_summable_quadruple(h: Hypergraph, budget: Optional[int] = None) -> Optional[SummableQuadruple]:
     """First (edge pair, non-edge pair) with equal intersection and union.
 
     Search order is lexicographic over edge pairs, then non-edge pairs; the
     non-edge pairs are pre-indexed by their (intersection, union) signature,
-    which returns the same first match as the naive nested scan.
+    which returns the same first match as the naive nested scan. The pairs
+    walked are gated first (PAIR_SCAN_BUDGET when budget is None).
     """
     edges = h.sorted_edges()
     non = h.non_edges()
+    check_budget(budget, PAIR_SCAN_BUDGET,
+                 lambda cap: [capped_comb(len(non), 2, cap), capped_comb(len(edges), 2, cap)],
+                 f"summable-quadruple scan of {len(edges)} edges and {len(non)} non-edges")
     first_pair: dict[tuple[KSet, KSet], tuple[KSet, KSet]] = {}
     for f1, f2 in combinations(non, 2):
         sig = (tuple(sorted(set(f1) & set(f2))), tuple(sorted(set(f1) | set(f2))))
@@ -273,18 +299,19 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
     comparable in the edge-implication order."""
     if not 1 <= r <= h.n:
         raise FormatError(f"need 1 <= r <= n, got r={r}")
-    cap = MONOTONE_DOMAIN_BUDGET if budget is None else budget
     n, k = h.n, h.k
-    work = 0
-    for s in range(1, r + 1):
+
+    def work(cap: int) -> Iterator[int]:
         # C(n,s)^2 ordered pairs of s-sets; each pair with union size u <= r
-        # costs C(n-u, k-s) k-set lookups in _comparable (none when s > k)
-        work += comb(n, s) ** 2
-        if s <= k:
-            work += sum(comb(n, u) * comb(u, s) * comb(s, 2 * s - u) * comb(n - u, k - s)
-                        for u in range(s + 1, min(r, 2 * s) + 1))
-        if work > cap:
-            raise BudgetExceeded(f"{r}-monotone scan on n={n}, k={k} exceeds budget {cap}")
+        # costs C(n-u, k-s) k-set lookups in _comparable (none when s > k).
+        # A product with a capped factor passes cap unless another factor is 0.
+        for s in range(1, r + 1):
+            yield capped_comb(n, s, cap) ** 2
+            for u in range(s + 1, min(r, 2 * s) + 1) if s <= k else ():
+                yield (capped_comb(n, u, cap) * capped_comb(u, s, cap)
+                       * capped_comb(s, 2 * s - u, cap) * capped_comb(n - u, k - s, cap))
+
+    check_budget(budget, PAIR_SCAN_BUDGET, work, f"{r}-monotone scan on n={n}, k={k}")
     verts = range(1, h.n + 1)
     for size in range(1, r + 1):
         for r1 in combinations(verts, size):
@@ -341,15 +368,3 @@ def graph_orderable(h: Hypergraph) -> Optional[GraphOrdering]:
     order.reverse()
     tags.reverse()
     return GraphOrdering(tuple(order), tuple(tags))
-
-
-def enumerate_hypergraphs(n: int, k: int, budget: Optional[int] = None) -> Iterator[Hypergraph]:
-    """All 2**C(n,k) hypergraphs on [1, n], one per edge-subset bitmask.
-
-    Mask bit i corresponds to the i-th k-subset in lexicographic order;
-    masks ascend from 0, so the stream order is fixed.
-    """
-    ksets = all_ksets(n, k, ENUMERATION_BIT_BUDGET if budget is None else budget)
-    m = len(ksets)
-    for mask in range(1 << m):
-        yield Hypergraph(n, k, frozenset(ksets[i] for i in range(m) if mask >> i & 1))

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, Optional
 
 from .errors import (
-    BudgetExceeded,
     FormatError,
     HasLoops,
     NotAMatroid,
@@ -24,9 +22,7 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import Hypergraph, KSet, all_ksets
-
-CIRCUIT_GROUND_BUDGET = 2 ** 22
+from .hypercore import CIRCUIT_GROUND_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
 
 
 def _vertex_mask(kset: Iterable[int]) -> int:
@@ -74,7 +70,7 @@ def _mask_is_paving(sets: list[int], n: int, k: int) -> bool:
             b = rest & -rest
             covered.add(s ^ b)
             rest ^= b
-    return len(covered) == comb(n, k - 1)
+    return len(covered) == capped_comb(n, k - 1, len(covered))
 
 
 def exchange_violation(h: Hypergraph) -> Optional[tuple[KSet, KSet, int]]:
@@ -291,9 +287,8 @@ def _circuits_within(m: BasisMatroid, ground: Iterable[int]) -> list[KSet]:
 
 def circuits(m: BasisMatroid, budget: Optional[int] = None) -> tuple[KSet, ...]:
     """All circuits; none exceeds k+1 elements in a rank-k matroid."""
-    cap = CIRCUIT_GROUND_BUDGET if budget is None else budget
-    if 2 ** m.n > cap:
-        raise BudgetExceeded(f"2^{m.n} exceeds circuit enumeration budget {cap}")
+    check_budget(budget, CIRCUIT_GROUND_BUDGET, lambda cap: [1 << min(m.n, cap.bit_length())],
+                 f"circuit scan of 2^{m.n} ground subsets")
     return tuple(_circuits_within(m, range(1, m.n + 1)))
 
 

@@ -14,12 +14,11 @@ import pytest
 
 from sephyp.errors import FormatError, RankCollapse, RankZero
 from sephyp.feasibility import decide, decide_fm, find_binary_certificate, verify_equatable, verify_separating
-from sephyp.harness import run_enumeration
+from sephyp.harness import enumerate_hypergraphs, run_enumeration
 from sephyp.hypercore import (
     Hypergraph,
     complement,
     dual,
-    enumerate_hypergraphs,
     is_exchangeable,
     is_r_monotone,
 )

@@ -1,7 +1,9 @@
-"""Budget gates at their boundary. The single C(n,k) gate: every operation
-that builds the k-set universe refuses one k-set below C(n,k) and runs at
-exactly C(n,k). The r-monotone gate refuses one step below the work its scan
-does and runs at exactly that work."""
+"""Budget gates at their boundary. Each gated operation refuses one unit
+below the work it counts and runs at exactly that work: the k-sets the C(n,k)
+universe holds, the 2^C(n,k) instances an enumeration walks, the 2^n ground
+subsets behind circuits, the pairs the summable-quadruple scan walks, the
+combinations the certificate search walks, and the r-monotone scan's pairs
+and lookups. The capped binomial behind them is checked against math.comb."""
 
 from itertools import combinations, product
 from math import comb
@@ -9,36 +11,59 @@ from math import comb
 import pytest
 
 from sephyp.errors import BudgetExceeded
-from sephyp.feasibility import build_system
-from sephyp.harness import run_enumeration
-from sephyp.hypercore import Hypergraph, enumerate_hypergraphs, is_r_monotone
-from sephyp.matroid import Gf2Matrix, Graph, from_gf2_matrix, from_graph
+from sephyp.feasibility import build_system, find_binary_certificate
+from sephyp.harness import enumerate_hypergraphs, run_enumeration
+from sephyp.hypercore import Hypergraph, capped_comb, find_summable_quadruple, is_r_monotone
+from sephyp.matroid import BasisMatroid, Gf2Matrix, Graph, circuits, from_gf2_matrix, from_graph
 from sephyp.oracle_algorithms import build_adversary
 
 K4 = Graph(4, tuple((u, v) for u in range(1, 5) for v in range(u + 1, 5)))
+# 3 edges and 7 non-edges
+SMALL = Hypergraph.from_edges(5, 2, [(1, 2), (1, 3), (3, 4)])
+U24 = BasisMatroid(Hypergraph.from_edges(4, 2, combinations(range(1, 5), 2)))
+
 
 GATED = {
-    # name: (operation taking a budget, the C(n,k) it builds)
-    "build_system": (lambda b: build_system(Hypergraph.from_edges(5, 2, [(1, 2)]), b), comb(5, 2)),
-    "enumerate_hypergraphs": (lambda b: list(enumerate_hypergraphs(4, 2, b)), comb(4, 2)),
-    "run_enumeration": (lambda b: run_enumeration(4, 2, "all", (), b), comb(4, 2)),
-    "from_gf2_matrix": (lambda b: from_gf2_matrix(Gf2Matrix(2, 4, ((1, 0, 1, 1), (0, 1, 1, 0))), b), comb(4, 2)),
-    "from_graph": (lambda b: from_graph(K4, b), comb(6, 3)),
-    "build_adversary": (lambda b: build_adversary(2, b), comb(4, 2)),
+    # name: (operation taking a budget, the work it counts, the refusal message before "exceeds budget")
+    "build_system": (lambda b: build_system(SMALL, b), comb(5, 2), f"= {comb(5, 2)} k-sets"),
+    "enumerate_hypergraphs": (lambda b: list(enumerate_hypergraphs(4, 2, b)), 2 ** comb(4, 2),
+                              r"^2\^C\(4,2\) instances"),
+    "run_enumeration": (lambda b: run_enumeration(4, 2, "all", (), b), 2 ** comb(4, 2), r"^2\^C\(4,2\) instances"),
+    "from_gf2_matrix": (lambda b: from_gf2_matrix(Gf2Matrix(2, 4, ((1, 0, 1, 1), (0, 1, 1, 0))), b), comb(4, 2),
+                        f"= {comb(4, 2)} k-sets"),
+    "from_graph": (lambda b: from_graph(K4, b), comb(6, 3), f"= {comb(6, 3)} k-sets"),
+    "build_adversary": (lambda b: build_adversary(2, b), comb(4, 2), f"= {comb(4, 2)} k-sets"),
+    "circuits": (lambda b: circuits(U24, b), 2 ** 4, r"^circuit scan of 2\^4 ground subsets"),
+    "find_summable_quadruple": (lambda b: find_summable_quadruple(SMALL, b), comb(7, 2) + comb(3, 2),
+                                r"^summable-quadruple scan of 3 edges and 7 non-edges"),
+    # support sizes 2t for t <= min(6, 3 edges, 7 non-edges) only
+    "find_binary_certificate": (lambda b: find_binary_certificate(SMALL, 12, b),
+                                sum(comb(3, t) + comb(7, t) for t in range(1, 4)),
+                                r"^certificate search of 3 edges and 7 non-edges up to support 12"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GATED))
 def test_gate_boundary(name):
-    operation, ksets = GATED[name]
-    with pytest.raises(BudgetExceeded, match=rf"= {ksets} k-sets exceeds budget {ksets - 1}$"):
-        operation(ksets - 1)
-    operation(ksets)
+    operation, work, message = GATED[name]
+    with pytest.raises(BudgetExceeded, match=rf"{message} exceeds budget {work - 1}$"):
+        operation(work - 1)
+    operation(work)
+
+
+def test_capped_comb_matches_comb():
+    for n in range(41):
+        for k in range(n + 2):
+            for cap in (0, 1, 5, 19, 200_000, 4_000_000):
+                assert capped_comb(n, k, cap) == min(comb(n, k), cap + 1), (n, k, cap)
+    for n, k in ((-1, 2), (3, -1)):
+        with pytest.raises(ValueError):
+            capped_comb(n, k, 10)
 
 
 def test_cover_masks_use_the_default_gate():
-    # C(8,7) = 8 k-sets fit the enumeration cap of 24; the paving filter,
-    # which covers C(8,6) = 28 (k-1)-sets, must not be held to it
+    # 2^C(8,7) = 256 instances fit the enumeration cap of 2^24; the paving
+    # filter, which covers C(8,6) = 28 (k-1)-sets, must not be held to it
     assert run_enumeration(8, 7, "paving").counts["total"] == 9
 
 

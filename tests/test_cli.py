@@ -187,6 +187,11 @@ class TestOracleDecide:
 
 
 class TestAdversary:
+    @pytest.mark.parametrize("k", ["1", "-3"])
+    def test_k_below_two_inapplicable(self, capsys, k):
+        code, _, err = run(capsys, "adversary", "--k", k)
+        assert code == 66 and err.startswith("inapplicable:")
+
     def test_k3_report(self, capsys):
         code, out, _ = run(capsys, "adversary", "--k", "3")
         assert code == 0
@@ -232,10 +237,11 @@ class TestSearchCert:
 
 
 class TestLargeInstance:
-    """A 40-vertex 20-uniform instance, C(40,20) ~ 1.4e11 k-sets: each command
-    must either stay off the k-set universe or refuse it with exit 65. They run
-    in a child with a time and memory limit, so a regression fails instead of
-    hanging the suite or exhausting memory."""
+    """A 40-vertex 20-uniform instance, C(40,20) ~ 1.4e11 k-sets, and larger
+    ones up to n = 10^7: each command must either stay off the k-set universe
+    or refuse, with exit 65, the work it would do. They run in a child with a
+    time and memory limit, so a regression fails instead of hanging the suite
+    or exhausting memory."""
 
     N, K = 40, 20
     E1, E2 = list(range(1, 21)), list(range(21, 41))
@@ -250,12 +256,14 @@ class TestLargeInstance:
         return str(inst), str(cert)
 
     @staticmethod
-    def cli(*argv) -> subprocess.CompletedProcess:
+    def cli(*argv, budget: str = "") -> subprocess.CompletedProcess:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
         env.pop("SEPHYP_BUDGET", None)
+        if budget:
+            env["SEPHYP_BUDGET"] = budget
         done = subprocess.run([sys.executable, "-m", "sephyp.cli", *argv], env=env, capture_output=True,
                               timeout=30, preexec_fn=limit_memory)
         assert b"Traceback" not in done.stderr, done.stderr.decode()
@@ -283,3 +291,41 @@ class TestLargeInstance:
         inst.write_text(json.dumps({"type": "hypergraph", "n": self.N, "k": self.K, "edges": [self.E1]}))
         done = self.cli("matroid", "paving", str(inst), "--output", "json")
         assert (done.returncode, done.stdout) == (0, b'{"paving":false}\n')
+
+    @pytest.mark.parametrize("n, argv", [
+        # C(15000,7500) has 4500 digits; C(10^7, 5*10^6) takes minutes to compute
+        (15_000, ["decide"]), (15_000, ["analyze", "--summable"]), (15_000, ["search-cert"]),
+        (10 ** 7, ["decide"]), (10 ** 7, ["analyze", "--monotone", "2"]),
+    ], ids=lambda v: str(v) if isinstance(v, int) else " ".join(v))
+    def test_huge_universe_refused(self, tmp_path, n, argv):
+        inst = tmp_path / "huge.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": n, "k": n // 2, "edges": []}))
+        assert self.cli(argv[0], str(inst), *argv[1:]).returncode == 65
+
+    @pytest.mark.parametrize("budget, argv", [
+        ("", ["adversary", "--k", "7500"]),
+        ("", ["enumerate", "--n", "15000", "--k", "7500"]),
+        # 2^C(8,4) = 2^70 instances, not C(8,4) = 70 of anything
+        ("200000", ["enumerate", "--n", "8", "--k", "4"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"budget={v or 'unset'}")
+    def test_huge_count_refused(self, budget, argv):
+        assert self.cli(*argv, budget=budget).returncode == 65
+
+    def test_pair_scans_of_twenty_vertices(self, tmp_path):
+        # C(20,10) = 184756 k-sets pass the k-set gate, but the summable scan
+        # pairs up 184755 non-edges, and two edges admit support 4, where
+        # C(184754, 2) non-edge pairs exceed the certificate search budget
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        one.write_text(json.dumps({"type": "hypergraph", "n": 20, "k": 10, "edges": [list(range(1, 11))]}))
+        two.write_text(json.dumps({"type": "hypergraph", "n": 20, "k": 10,
+                                   "edges": [list(range(1, 11)), list(range(11, 21))]}))
+        assert self.cli("analyze", str(one), "--summable").returncode == 65
+        assert self.cli("search-cert", str(two), "--max-support", "400000").returncode == 65
+
+    def test_certificate_search_bounded_by_its_input(self, tmp_path):
+        # one edge admits support 2 only, so asking for more costs nothing more
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"type": "hypergraph", "n": 20, "k": 10, "edges": [list(range(1, 11))]}))
+        done = self.cli("search-cert", str(one), "--max-support", "400000")
+        assert (done.returncode, done.stdout) == (
+            0, b"no 0/1 certificate with support <= 400000 found (not a disproof of existence)\n")

@@ -20,7 +20,8 @@ from sephyp.feasibility import (
     verify_equatable,
     verify_separating,
 )
-from sephyp.hypercore import Hypergraph, enumerate_hypergraphs
+from sephyp.harness import enumerate_hypergraphs
+from sephyp.hypercore import Hypergraph
 from sephyp.jsonio import certificate_obj, dumps
 
 ZERO6 = tuple(Fraction(0) for _ in range(6))
@@ -168,7 +169,7 @@ class TestDecideFm:
             decide_fm(counterexample_nine)
 
     def test_exhaustive_agreement_n4(self):
-        from sephyp.hypercore import enumerate_hypergraphs
+        from sephyp.harness import enumerate_hypergraphs
 
         for h in enumerate_hypergraphs(4, 2):
             assert decide(h).kind == decide_fm(h).kind

@@ -7,8 +7,7 @@ from math import comb
 import pytest
 
 from sephyp.errors import BudgetExceeded, RankZero
-from sephyp.harness import MaskTables, canonical_partition, run_enumeration
-from sephyp.hypercore import enumerate_hypergraphs
+from sephyp.harness import MaskTables, canonical_partition, enumerate_hypergraphs, run_enumeration
 from sephyp.matroid import Gf2Matrix, exchange_violation, from_gf2_matrix, is_matroid, is_paving, BasisMatroid
 
 EXHAUSTIVE_SHAPES = ((4, 2), (5, 2), (5, 3))
@@ -63,7 +62,7 @@ def random_corpus():
     for _ in range(60):
         n = rng.randint(6, 9)
         k = rng.randint(2, n - 2)
-        tables = MaskTables(n, k, comb(n, k))
+        tables = MaskTables(n, k, 2 ** comb(n, k))
         full = (1 << tables.m) - 1
         density = rng.choice((0.1, 0.5, 0.9))
         yield tables, sum(1 << i for i in range(tables.m) if rng.random() < density)
@@ -74,7 +73,7 @@ def random_corpus():
         except RankZero:
             continue
         if m is not None:
-            tables = MaskTables(m.n, m.k, comb(m.n, m.k))
+            tables = MaskTables(m.n, m.k, 2 ** comb(m.n, m.k))
             yield tables, sum(1 << i for i, g in enumerate(tables.ksets) if g in m.carrier.edges)
 
 

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from sephyp.errors import BudgetExceeded, FormatError, InvalidPartition, NotAGraph
+from sephyp.harness import enumerate_hypergraphs
 from sephyp.hypercore import (
     DOMINATING,
     ISOLATED,
@@ -13,7 +14,6 @@ from sephyp.hypercore import (
     Partition,
     complement,
     dual,
-    enumerate_hypergraphs,
     find_summable_quadruple,
     graph_orderable,
     is_exchangeable,

@@ -100,7 +100,7 @@ class TestBinaryOracleDecision:
     def test_agreement_exhaustive_small_binary_matroids(self):
         # every binary matroid among all 2^10 graphs and 3-hypergraphs on
         # five vertices: oracle verdict must match the LP kind
-        from sephyp.hypercore import enumerate_hypergraphs
+        from sephyp.harness import enumerate_hypergraphs
         from sephyp.matroid import is_binary, is_matroid
 
         checked = 0
