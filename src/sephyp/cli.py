@@ -11,8 +11,9 @@ enumerate, search-cert. Exit codes are a stable contract:
     67  matroid-requiring subcommand on a non-matroid
     70  internal verification failure (a bug, not user error)
 
-SEPHYP_BUDGET (an integer) replaces the default cap of each budget below;
-each is checked before its loop starts, on the work that loop will do:
+SEPHYP_BUDGET (an integer of absolute value at most 10**100) replaces the
+default cap of each budget below except the last; each is checked before
+its loop starts, on the work that loop will do:
 
     operation                               counts                default
     any building the C(n,k) k-set universe  k-sets                200000
@@ -20,6 +21,7 @@ each is checked before its loop starts, on the work that loop will do:
     analyze --monotone, --summable          pairs and lookups     4000000
     matroid circuits, matroid binary        ground subsets, 2^n   2^22
     search-cert                             support combinations  5000000
+    decide --method fm                      vertices              6
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from . import __version__
 from .errors import (
     BudgetExceeded,
     FormatError,
-    HasLoops,
+    Inapplicable,
     InternalVerificationError,
-    InvalidPartition,
-    NotAGraph,
     NotAMatroid,
     RankCollapse,
     RankZero,
+    SephypError,
 )
 from .feasibility import (
     SeparableCertificate,
@@ -68,7 +69,6 @@ from .jsonio import (
 )
 from .matroid import (
     BasisMatroid,
-    IndependenceOracle,
     circuits,
     exchange_violation,
     from_gf2_matrix,
@@ -96,15 +96,29 @@ EXIT_INAPPLICABLE = 66
 EXIT_NOT_MATROID = 67
 EXIT_INTERNAL = 70
 
+# The exit code and stderr label of each library error that main reports as a
+# refusal; any other error propagates.
+REFUSALS: tuple[tuple[type[SephypError], int, str], ...] = (
+    (FormatError, EXIT_PARSE, "parse error"),
+    (BudgetExceeded, EXIT_BUDGET, "budget exceeded"),
+    (Inapplicable, EXIT_INAPPLICABLE, "inapplicable"),
+    (NotAMatroid, EXIT_NOT_MATROID, "not a matroid"),
+    (InternalVerificationError, EXIT_INTERNAL, "internal verification failure"),
+)
+
 
 def _env_budget() -> Optional[int]:
     raw = os.environ.get("SEPHYP_BUDGET")
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise FormatError(f"SEPHYP_BUDGET must be an integer, got {raw!r}")
+    # past this a cap is unlimited in practice, and cap + 1 may not print
+    if abs(budget) > 10 ** 100:
+        raise FormatError("SEPHYP_BUDGET must be at most 10**100 in absolute value")
+    return budget
 
 
 def _read(path: str) -> str:
@@ -267,20 +281,10 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 def _cmd_oracle_decide(args: argparse.Namespace) -> int:
     kind, instance = parse_instance(_read(args.path))
     if kind == "hypergraph":
-        print("oracle-decide requires a gf2 or graph instance", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+        raise Inapplicable("oracle-decide requires a gf2 or graph instance")
     matroid, oracle = _load_matroid(args.path, kind, instance, args.budget)
     n, k = (matroid.n, matroid.k) if matroid is not None else (instance.cols, gf2_rank(instance.column_masks()))
-
-    if args.max_queries is not None:
-        inner = oracle
-
-        def capped(subset):
-            if inner.queries_used >= args.max_queries:
-                raise BudgetExceeded(f"query budget {args.max_queries} exhausted")
-            return inner.query(subset)
-
-        oracle = IndependenceOracle(capped)
+    oracle.max_queries = args.max_queries
     decision = decide_binary_via_oracle(n, k, oracle)
     lines_out = [f"verdict: {decision.verdict}", f"queries: {decision.queries_used}"]
     obj = {
@@ -320,11 +324,7 @@ def _report_obj(report) -> dict:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    try:
-        inst = build_adversary(args.k, args.budget)
-    except ValueError as exc:
-        print(f"inapplicable: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    inst = build_adversary(args.k, args.budget)
     strategies = [("no-queries", strategy_no_queries), ("binary-algorithm", strategy_binary_algorithm)]
     query_budget = args.query_budget if args.query_budget else 4 ** args.k + 100
     lines_out = [
@@ -359,11 +359,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     checks = ALL_CHECKS if args.check == "theorems" else frozenset()
-    try:
-        report = run_enumeration(args.n, args.k, args.klass, checks, args.budget)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    report = run_enumeration(args.n, args.k, args.klass, checks, args.budget)
     lines_out = [
         f"n={report.n} k={report.k} class={report.klass}",
         "counts: " + " ".join(f"{key}={val}" for key, val in report.counts.items()),
@@ -472,21 +468,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args.budget = _env_budget()
         return args.fn(args)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (NotAGraph, InvalidPartition, HasLoops) as exc:
-        print(f"inapplicable: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except NotAMatroid as exc:
-        print(f"not a matroid: {exc}", file=sys.stderr)
-        return EXIT_NOT_MATROID
-    except InternalVerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except SephypError as exc:
+        for cls, code, label in REFUSALS:
+            if isinstance(exc, cls):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -17,11 +17,16 @@ class BudgetExceeded(SephypError):
     """The requested computation is larger than the configured budget allows."""
 
 
-class InvalidPartition(SephypError):
+class Inapplicable(SephypError, ValueError):
+    """An operation or flag does not apply to its arguments; a ValueError, so
+    callers that catch ValueError keep working."""
+
+
+class InvalidPartition(Inapplicable):
     """Partition parts overlap, miss vertices, are empty, or have the wrong count."""
 
 
-class NotAGraph(SephypError):
+class NotAGraph(Inapplicable):
     """A graph-only operation was applied to a hypergraph with k != 2."""
 
 
@@ -29,7 +34,7 @@ class NotAMatroid(SephypError):
     """Edge set fails the basis-exchange axiom (or derived structure reveals it)."""
 
 
-class HasLoops(SephypError):
+class HasLoops(Inapplicable):
     """Operation requires a loopless matroid."""
 
 

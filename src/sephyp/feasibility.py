@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .errors import BudgetExceeded, InternalVerificationError
+from .errors import BudgetExceeded, Inapplicable, InternalVerificationError
 from .hypercore import CERT_SEARCH_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
 
 SetLabeling = dict[KSet, Fraction]
@@ -150,15 +150,20 @@ def equatable_violation(h: Hypergraph, y: SetLabeling) -> Optional[str]:
             return f"set {g} has negative value {y[g]}"
     if not any(y.values()):
         return "labeling is identically zero"
-    edge_mass = [ZERO] * (h.n + 1)
-    non_mass = [ZERO] * (h.n + 1)
+    # Int masses scaled as in separating_violation, kept only for the vertices
+    # y names: every other vertex has mass 0 on both sides.
+    scale = lcm(*(val.denominator for val in y.values()))
+    edge_mass: dict[int, int] = {}
+    non_mass: dict[int, int] = {}
     for g, val in y.items():
         mass = edge_mass if g in h.edges else non_mass
+        w = val.numerator * (scale // val.denominator)
         for v in g:
-            mass[v] += val
-    for v in range(1, h.n + 1):
-        if edge_mass[v] != non_mass[v]:
-            return f"vertex {v} imbalanced: edge mass {edge_mass[v]}, non-edge mass {non_mass[v]}"
+            mass[v] = mass.get(v, 0) + w
+    for v in sorted(edge_mass.keys() | non_mass.keys()):
+        e, f = edge_mass.get(v, 0), non_mass.get(v, 0)
+        if e != f:
+            return f"vertex {v} imbalanced: edge mass {Fraction(e, scale)}, non-edge mass {Fraction(f, scale)}"
     return None
 
 
@@ -290,16 +295,15 @@ def _fm_normalize(coeffs: list[Fraction], rhs: Fraction, mult: list[Fraction]) -
     return coeffs, rhs, mult
 
 
-def decide_fm(h: Hypergraph, max_vertices: Optional[int] = None) -> Certificate:
+def decide_fm(h: Hypergraph) -> Certificate:
     """Same contract as decide(), via Fourier-Motzkin elimination on Ax <= b.
 
     Each surviving inequality carries the nonnegative multiplier vector that
     derives it from the original rows; an all-zero inequality with negative
     right-hand side therefore hands us the equatability labeling directly.
     """
-    cap = FM_VERTEX_BUDGET if max_vertices is None else max_vertices
-    if h.n > cap:
-        raise BudgetExceeded(f"Fourier-Motzkin guard: n = {h.n} > {cap}")
+    if h.n > FM_VERTEX_BUDGET:
+        raise BudgetExceeded(f"Fourier-Motzkin guard: n = {h.n} > {FM_VERTEX_BUDGET}")
     system = build_system(h)
     m = len(system.rows)
     n = h.n
@@ -406,7 +410,7 @@ def find_binary_certificate(
     combinations walked are gated first (CERT_SEARCH_BUDGET when budget is None).
     """
     if max_support < 1:
-        raise ValueError("max_support must be positive")
+        raise Inapplicable(f"max_support must be positive, got {max_support}")
     edges = h.sorted_edges()
     non = h.non_edges()
     sizes = range(1, min(max_support // 2, len(edges), len(non)) + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import RankCollapse
+from .errors import Inapplicable, RankCollapse
 from .feasibility import decide, verify_equatable
 from .hypercore import (
     ENUMERATION_BUDGET,
@@ -165,15 +165,20 @@ def run_enumeration(
 ) -> EnumerationReport:
     """Enumerate, filter, classify, and law-check one (n, k) corpus."""
     if klass not in CLASSES:
-        raise ValueError(f"unknown class {klass!r}")
+        raise Inapplicable(f"unknown class {klass!r}")
     if klass == "graphs" and k != 2:
-        raise ValueError("class 'graphs' requires k = 2")
+        raise Inapplicable("class 'graphs' requires k = 2")
     check_set = frozenset(checks)
     unknown = check_set - ALL_CHECKS
     if unknown:
-        raise ValueError(f"unknown checks {sorted(unknown)}")
+        raise Inapplicable(f"unknown checks {sorted(unknown)}")
+    if n < 0 or k < 0:
+        raise Inapplicable(f"enumeration needs n >= 0 and k >= 0, got n={n} k={k}")
 
     tables = MaskTables(n, k, budget)
+    # the paving filter counts (k-1)-subsets; the canonical partition has k parts
+    if klass in ("paving", "multipartite") and k < 1:
+        raise Inapplicable(f"class {klass!r} requires k >= 1")
     counts = {
         "total": 0,
         "separable": 0,

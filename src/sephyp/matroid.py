@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .errors import (
+    BudgetExceeded,
     FormatError,
     HasLoops,
     NotAMatroid,
@@ -175,18 +176,23 @@ class IndependenceOracle:
     """Black-box independence interface with a deterministic cache.
 
     Repeated queries are answered from the cache and do not grow the trace;
-    the query count is the number of distinct subsets asked about.
+    the query count is the number of distinct subsets asked about. With
+    max_queries set, a new subset asked once that many are used raises
+    BudgetExceeded.
     """
 
-    def __init__(self, fn: Callable[[KSet], bool]):
+    def __init__(self, fn: Callable[[KSet], bool], max_queries: Optional[int] = None):
         self._fn = fn
         self._cache: dict[KSet, bool] = {}
         self.trace: list[tuple[KSet, bool]] = []
+        self.max_queries = max_queries
 
     def query(self, subset: Iterable[int]) -> bool:
         key = tuple(sorted(subset))
         if key in self._cache:
             return self._cache[key]
+        if self.max_queries is not None and len(self.trace) >= self.max_queries:
+            raise BudgetExceeded(f"query budget {self.max_queries} exhausted")
         answer = bool(self._fn(key))
         self._cache[key] = answer
         self.trace.append((key, answer))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Union
 
-from .errors import InternalVerificationError, NotAMatroid, OracleInconsistent
+from .errors import BudgetExceeded, Inapplicable, InternalVerificationError, NotAMatroid, OracleInconsistent
 from .feasibility import decide
 from .hypercore import Hypergraph, KSet, all_ksets
 from .matroid import BasisMatroid, IndependenceOracle, _lines_from_dependence, is_independent, is_paving
@@ -129,7 +129,7 @@ def build_adversary(k: int, budget: Optional[int] = None) -> AdversaryInstance:
     """The two paving k-matroids on 2k vertices that agree on every subset
     query except the removed complementary pair."""
     if k < 2:
-        raise ValueError("adversary construction needs k >= 2")
+        raise Inapplicable("adversary construction needs k >= 2")
     n = 2 * k
     full = frozenset(all_ksets(n, k, budget))
     f1 = tuple(range(1, k + 1))
@@ -157,10 +157,6 @@ def replay_identical(inst: AdversaryInstance, queries: tuple[KSet, ...]) -> bool
     return all(is_independent(m1, q) == is_independent(m2, q) for q in queries)
 
 
-class _QueryBudgetExhausted(Exception):
-    pass
-
-
 def run_indistinguishability_check(
     inst: AdversaryInstance, strategy: Strategy, query_budget: int
 ) -> IndistinguishabilityReport:
@@ -174,19 +170,14 @@ def run_indistinguishability_check(
     reported alongside.
     """
     k, n = inst.k, 2 * inst.k
-
-    def h1_answer(subset: KSet) -> bool:
-        if len(oracle.trace) >= query_budget:
-            raise _QueryBudgetExhausted
-        return len(subset) <= k  # complete k-hypergraph: every small set is independent
-
-    oracle = IndependenceOracle(h1_answer)
+    # complete k-hypergraph: every small set is independent
+    oracle = IndependenceOracle(lambda subset: len(subset) <= k, max_queries=query_budget)
     verdict: Optional[str] = None
     budget_exhausted = False
     try:
         outcome = strategy(oracle, n, k)
         verdict = outcome.verdict if isinstance(outcome, OracleDecision) else str(outcome)
-    except _QueryBudgetExhausted:
+    except BudgetExceeded:
         budget_exhausted = True
 
     trace = tuple(oracle.trace)

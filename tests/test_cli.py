@@ -179,11 +179,11 @@ class TestOracleDecide:
 
     def test_hypergraph_inapplicable(self, capsys):
         code, _, err = run(capsys, "oracle-decide", f"{FX}/counterexample_nine.json")
-        assert code == 66
+        assert code == 66 and err.startswith("inapplicable:")
 
     def test_max_queries(self, capsys):
         code, _, err = run(capsys, "oracle-decide", f"{FX}/k4_graph.json", "--max-queries", "3")
-        assert code == 65
+        assert code == 65 and err.startswith("budget exceeded: query budget 3 exhausted")
 
 
 class TestAdversary:
@@ -214,7 +214,15 @@ class TestEnumerate:
 
     def test_class_graphs_requires_k2(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "5", "--k", "3", "--class", "graphs")
-        assert code == 66
+        assert code == 66 and err.startswith("inapplicable:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "-1", "--k", "2"], ["--n", "3", "--k", "0", "--class", "paving"],
+        ["--n", "3", "--k", "0", "--class", "multipartite"],
+    ], ids=" ".join)
+    def test_shape_inapplicable(self, capsys, argv):
+        code, _, err = run(capsys, "enumerate", *argv)
+        assert code == 66 and err.startswith("inapplicable:")
 
     def test_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("SEPHYP_BUDGET", "3")
@@ -234,6 +242,11 @@ class TestSearchCert:
     def test_absence_is_not_disproof(self, capsys):
         code, out, _ = run(capsys, "search-cert", f"{FX}/uniform_two_four.json")
         assert code == 0 and "not a disproof" in out
+
+    @pytest.mark.parametrize("support", ["0", "-2"])
+    def test_support_below_one_inapplicable(self, capsys, support):
+        code, _, err = run(capsys, "search-cert", f"{FX}/counterexample_nine.json", "--max-support", support)
+        assert code == 66 and err.startswith("inapplicable:")
 
 
 class TestLargeInstance:
@@ -271,6 +284,15 @@ class TestLargeInstance:
 
     def test_verify_equatable_certificate(self, files):
         assert self.cli("verify", *files).returncode == 0
+
+    def test_verify_equatable_certificate_of_a_billion_vertices(self, tmp_path):
+        # the masses are kept for the four vertices y names, not for all n
+        inst, cert = tmp_path / "billion.json", tmp_path / "billion_y.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 10 ** 9, "k": 2, "edges": [[1, 2], [3, 4]]}))
+        cert.write_text(json.dumps({"kind": "equatable",
+                                    "y": [{"set": g, "val": "1"} for g in ([1, 2], [3, 4], [1, 3], [2, 4])]}))
+        done = self.cli("verify", str(inst), str(cert))
+        assert (done.returncode, done.stdout) == (0, b"valid\n")
 
     @pytest.mark.parametrize("argv", [
         ["decide"], ["analyze", "--summable"], ["search-cert"], ["analyze", "--monotone", "2"],
@@ -310,6 +332,14 @@ class TestLargeInstance:
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"budget={v or 'unset'}")
     def test_huge_count_refused(self, budget, argv):
         assert self.cli(*argv, budget=budget).returncode == 65
+
+    def test_budget_past_ten_to_the_hundred_refused(self, tmp_path):
+        # the k-set refusal would print the capped count 10^4300, past the
+        # int-to-string limit; the budget is refused when it is parsed
+        inst = tmp_path / "huge.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 15_000, "k": 7_500, "edges": []}))
+        done = self.cli("decide", str(inst), budget="9" * 4300)
+        assert done.returncode == 64 and done.stderr.startswith(b"parse error: SEPHYP_BUDGET must be")
 
     def test_pair_scans_of_twenty_vertices(self, tmp_path):
         # C(20,10) = 184756 k-sets pass the k-set gate, but the summable scan

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from sephyp.errors import (
+    BudgetExceeded,
     HasLoops,
     NotAMatroid,
     PreconditionViolated,
@@ -16,6 +17,7 @@ from sephyp.matroid import (
     BasisMatroid,
     Gf2Matrix,
     Graph,
+    IndependenceOracle,
     augment,
     circuits,
     coloops,
@@ -316,4 +318,12 @@ class TestOracleWrapper:
         assert oracle.queries_used == 1
         assert oracle.trace == [((1, 2), True)]
         assert not oracle.query((1, 2, 3))
+        assert oracle.queries_used == 2
+
+    def test_max_queries_counts_distinct_subsets(self):
+        oracle = IndependenceOracle(lambda s: len(s) <= 2, max_queries=2)
+        assert oracle.query((1, 2)) and oracle.query((2, 1)) and not oracle.query((1, 2, 3))
+        assert oracle.query((1, 2)) and oracle.queries_used == 2
+        with pytest.raises(BudgetExceeded, match="^query budget 2 exhausted$"):
+            oracle.query((1, 3))
         assert oracle.queries_used == 2
