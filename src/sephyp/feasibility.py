@@ -1,8 +1,10 @@
 """Exact rational separability decision with independently verifiable certificates.
 
 All arithmetic is exact: certificates and verifiers use fractions.Fraction,
-and the simplex in decide() keeps an integer tableau over one shared positive
-denominator; there is no floating point and no tolerance. A hypergraph is
+and the revised simplex in decide() keeps d B^-1, the rhs column and the
+artificial part of the objective row as ints over one shared positive
+denominator d, pricing each k-set column from the k-set itself when it is
+needed; there is no floating point and no tolerance. A hypergraph is
 either separable (a vertex labeling x realizes the edge set as the k-sets of
 nonnegative sum) or equatable (a nonnegative, nonzero k-set labeling balances
 edge mass against non-edge mass at every vertex), never both; decide()
@@ -64,6 +66,8 @@ class FarkasSystem:
     Rows are indexed by all k-subsets G in lexicographic order. An edge row
     reads -x(G) <= 0 and a non-edge row reads x(G) <= -1, so a solution x
     satisfies x(E) >= 0 exactly on edges and x(F) < 0 strictly on non-edges.
+    decide_fm() and the tests use this dense form; decide() reads the same
+    rows straight from the k-sets.
     """
 
     rows: tuple[KSet, ...]
@@ -180,54 +184,61 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     rule plus the fixed lexicographic column order make the result
     deterministic within a build.
 
-    The tableau is fraction-free (Bareiss): every entry, the objective row
-    included, is an int, and the true tableau is the int one divided by d,
-    the last pivot (d = 1 at the start). Pivots are positive, so d stays
-    positive, signs and ratios are the true ones, and the pivot choices are
-    those of the rational tableau. Fractions appear only in the answer.
+    The simplex is revised and fraction-free (Bareiss). The full int tableau
+    is d times the true one, d being the last pivot (1 at the start); of it
+    only the artificial block, which is d B^-1, the rhs column and the
+    artificial part of the objective row with its rhs cell are stored, all
+    ints. Column j of the full tableau is that block times column j of the
+    equality rows A', and its reduced cost is sum_i (z[i] - d) A'_ij, so
+    both are computed from the k-set's at most k+1 nonzeros when needed.
+    The Bareiss update works column by column, so every stored int equals
+    the one the full tableau would hold; the scan (y-columns, then
+    artificial columns), ratio test and tie-breaks read the same values, so
+    the pivot sequence and the answer are those of the full tableau. Pivots
+    are positive, so d stays positive and signs and ratios are the true
+    ones. Fractions appear only in the answer.
     """
-    system = build_system(h, budget)
-    m = len(system.rows)
+    rows = all_ksets(h.n, h.k, budget)
+    m = len(rows)
     n = h.n
-    rows_count = n + 1
-    width = m + rows_count + 1  # y columns, artificial columns, rhs
-
-    # Equality rows: n vertex-balance rows (columns of A) plus the
-    # normalization row -b . y = 1; rhs is 0 everywhere except that last row.
-    tableau: list[list[int]] = []
-    for i in range(rows_count):
-        if i < n:
-            row = [a[i] for a in system.matrix]
-        else:
-            row = [-b for b in system.rhs]  # -b entries: 1 on non-edges
-        row += [0] * (rows_count + 1)
-        row[m + i] = 1
-        tableau.append(row)
-    tableau[n][-1] = 1
-
-    basis = [m + i for i in range(rows_count)]
-    # Phase-I objective row: reduced cost of column j is -sum of its entries
-    # (cost 0 minus dual prices, all 1 on the artificial basis); artificial
-    # columns themselves are basic with reduced cost 0. The rhs cell holds
-    # minus the objective value.
-    z = [-sum(col) for col in zip(*tableau)]
-    z[m:m + rows_count] = [0] * rows_count
+    # Column j of A' (vertex-balance rows, then the normalization row -b . y
+    # = 1) is sign on the rows v - 1 of the vertices v of k-set j: -1 for an
+    # edge; +1 for a non-edge, which also has +1 in row n.
+    columns = [(-1, idx) if g in h.edges else (1, idx + (n,))
+               for g, idx in zip(rows, combinations(range(n), h.k))]
+    # tableau[i] = row i of d B^-1 followed by the rhs cell; the basis starts
+    # as the artificial columns m..m+n, and the rhs is 1 only in row n.
+    tableau = [[int(i == c) for c in range(n + 1)] + [int(i == n)] for i in range(n + 1)]
+    basis = [m + i for i in range(n + 1)]
+    # Phase-I objective row on the artificial columns plus its rhs cell (minus
+    # the objective value). d times the dual price of row i is d - z[i], so
+    # the reduced cost of y-column j is sum_i (z[i] - d) A'_ij.
+    z = [0] * (n + 1) + [-1]
     d = 1
 
     while True:
-        pivot_col = next((j for j in range(width - 1) if z[j] < 0), -1)
-        if pivot_col < 0:
-            break
+        price = [c - d for c in z].__getitem__
+        for pivot_col, (sign, idx) in enumerate(columns):
+            cost = sign * sum(map(price, idx))
+            if cost < 0:
+                col = [sign * sum(map(row.__getitem__, idx)) for row in tableau]
+                break
+        else:
+            # No y-column prices out: Bland's order goes on to the artificials.
+            i = next((i for i in range(n + 1) if z[i] < 0), -1)
+            if i < 0:
+                break
+            pivot_col, cost = m + i, z[i]
+            col = [row[i] for row in tableau]
         # Ratio test rhs_i / coeff_i by cross-multiplication (coefficients
         # are positive); ties go to the smaller basic column.
         pivot_row = -1
-        for i in range(rows_count):
-            coeff = tableau[i][pivot_col]
+        for i, coeff in enumerate(col):
             if coeff > 0:
                 if pivot_row < 0:
                     pivot_row = i
                     continue
-                lhs = tableau[i][-1] * tableau[pivot_row][pivot_col]
+                lhs = tableau[i][-1] * col[pivot_row]
                 rhs = tableau[pivot_row][-1] * coeff
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
@@ -237,11 +248,10 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
         # other row becomes (p * row - row[c] * prow) / d, exactly by
         # Sylvester's identity; then d = p.
         prow = tableau[pivot_row]
-        p = prow[pivot_col]
-        for target in tableau + [z]:
+        p = col[pivot_row]
+        for target, f in zip(tableau + [z], col + [cost]):
             if target is prow:
                 continue
-            f = target[pivot_col]
             if f:
                 target[:] = [(p * a - f * b) // d for a, b in zip(target, prow)]
             elif p != d:
@@ -251,14 +261,14 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
 
     if z[-1] == 0:  # phase-I optimum 0: the alternative system is feasible
         labeling: SetLabeling = {}
-        for i, col in enumerate(basis):
-            if col < m and tableau[i][-1]:
-                labeling[system.rows[col]] = Fraction(tableau[i][-1], d)
+        for i, j in enumerate(basis):
+            if j < m and tableau[i][-1]:
+                labeling[rows[j]] = Fraction(tableau[i][-1], d)
         return _package_equatable(h, labeling)
 
     # Infeasible: dual values u_i = 1 - reduced cost of artificial i satisfy
     # A (u[:n]) <= u[n] b with u[n] = objective > 0, so x = u[:n] / u[n].
-    u = [ONE - Fraction(z[m + i], d) for i in range(rows_count)]
+    u = [ONE - Fraction(z[i], d) for i in range(n + 1)]
     lam = u[n]
     if lam <= 0:
         raise InternalVerificationError("Farkas scaling factor not positive")

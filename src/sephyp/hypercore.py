@@ -9,6 +9,7 @@ witnesses are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -339,6 +340,10 @@ def graph_orderable(h: Hypergraph) -> Optional[GraphOrdering]:
     failing that, a currently dominating one, filling the order from the end.
     Completeness of the greedy rule is enforced by the exhaustive cross-check
     against the LP decision in the test suite, not assumed here.
+
+    Runs in O((n + |E|) log n): deg[v] counts v's remaining neighbours, and
+    by_deg[t] is a min-heap holding every remaining vertex of degree t, plus
+    stale entries (removed vertices or lower degrees) skipped when popped.
     """
     if h.k != 2:
         raise NotAGraph(f"orderability is defined for k=2, got k={h.k}")
@@ -346,23 +351,27 @@ def graph_orderable(h: Hypergraph) -> Optional[GraphOrdering]:
     for a, b in h.edges:
         adj[a].add(b)
         adj[b].add(a)
-    remaining = set(range(1, h.n + 1))
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
+    by_deg: dict[int, list[int]] = {}
+    for v in adj:  # ascending, so each list is already a heap
+        by_deg.setdefault(deg[v], []).append(v)
     order: list[int] = []
     tags: list[str] = []
-    while remaining:
-        pick = tag = None
-        for v in sorted(remaining):
-            if not (adj[v] & remaining):
-                pick, tag = v, ISOLATED
+    for size in range(h.n, 0, -1):
+        for t, tag in ((0, ISOLATED), (size - 1, DOMINATING)):
+            heap = by_deg.get(t, [])
+            while heap and deg[heap[0]] != t:
+                heappop(heap)
+            if heap:
                 break
-        if pick is None:
-            for v in sorted(remaining):
-                if adj[v] >= remaining - {v}:
-                    pick, tag = v, DOMINATING
-                    break
-        if pick is None:
+        else:
             return None
-        remaining.discard(pick)
+        pick = heappop(heap)
+        deg[pick] = -1  # removed: every entry left for it is stale
+        for w in adj[pick]:
+            if deg[w] > 0:
+                deg[w] -= 1
+                heappush(by_deg.setdefault(deg[w], []), w)
         order.append(pick)
         tags.append(tag)
     order.reverse()

@@ -352,6 +352,14 @@ class TestLargeInstance:
         assert self.cli("analyze", str(one), "--summable").returncode == 65
         assert self.cli("search-cert", str(two), "--max-support", "400000").returncode == 65
 
+    def test_orderable_of_two_hundred_thousand_vertices(self, tmp_path):
+        # each pick pops a degree heap instead of re-sorting the remaining
+        # vertices; two disjoint edges leave 2K2, which is stuck
+        inst = tmp_path / "two.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 200_000, "k": 2, "edges": [[1, 2], [3, 4]]}))
+        done = self.cli("analyze", str(inst), "--orderable")
+        assert (done.returncode, done.stdout) == (0, b"orderable: no\n")
+
     def test_certificate_search_bounded_by_its_input(self, tmp_path):
         # one edge admits support 2 only, so asking for more costs nothing more
         one = tmp_path / "one.json"

@@ -130,7 +130,19 @@ class TestDecide:
         with pytest.raises(BudgetExceeded):
             decide(counterexample_nine, budget=10)
 
-    @pytest.mark.parametrize("n,k", [(11, 4), (13, 5)])
+    def test_no_dense_system(self, monkeypatch, sep_six, eq_six, paving_five, counterexample_nine):
+        # decide prices its columns from the k-sets; the dense matrix of
+        # build_system is left to decide_fm
+        fixtures = (sep_six, eq_six, paving_five, counterexample_nine)
+        expected = [decide(h) for h in fixtures]
+
+        def dense(*args, **kwargs):
+            raise AssertionError("decide built the dense system")
+
+        monkeypatch.setattr("sephyp.feasibility.build_system", dense)
+        assert [decide(h) for h in fixtures] == expected
+
+    @pytest.mark.parametrize("n,k", [(11, 4), (13, 5), (16, 6)])
     def test_large_threshold_and_flipped(self, n, k):
         # long pivot sequences and a growing shared denominator, far beyond
         # the shapes the property tests reach

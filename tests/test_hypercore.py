@@ -10,6 +10,7 @@ from sephyp.hypercore import (
     DOMINATING,
     ISOLATED,
     ExchangeWitness,
+    GraphOrdering,
     Hypergraph,
     Partition,
     complement,
@@ -215,6 +216,31 @@ class TestGraphOrderable:
     def test_requires_k_two(self, eq_six):
         with pytest.raises(NotAGraph):
             graph_orderable(eq_six)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_quadratic_greedy(self, n):
+        # the heap version must make the same picks as the plain greedy scan
+        for h in enumerate_hypergraphs(n, 2):
+            assert graph_orderable(h) == _quadratic_greedy(h), sorted(h.edges)
+
+
+def _quadratic_greedy(h):
+    """The greedy rule as a sorted scan of the remaining vertices per pick."""
+    adj = {v: set() for v in range(1, h.n + 1)}
+    for a, b in h.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    remaining = set(adj)
+    picks = []
+    while remaining:
+        pick = next(((v, ISOLATED) for v in sorted(remaining) if not adj[v] & remaining), None)
+        pick = pick or next(((v, DOMINATING) for v in sorted(remaining) if adj[v] >= remaining - {v}), None)
+        if pick is None:
+            return None
+        remaining.discard(pick[0])
+        picks.append(pick)
+    picks.reverse()
+    return GraphOrdering(tuple(v for v, _ in picks), tuple(t for _, t in picks))
 
 
 class TestEnumeration:
