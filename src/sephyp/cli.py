@@ -44,6 +44,7 @@ from .errors import (
     SephypError,
 )
 from .feasibility import (
+    EquatableCertificate,
     SeparableCertificate,
     decide,
     decide_fm,
@@ -326,7 +327,7 @@ def _report_obj(report) -> dict:
 def _cmd_adversary(args: argparse.Namespace) -> int:
     inst = build_adversary(args.k, args.budget)
     strategies = [("no-queries", strategy_no_queries), ("binary-algorithm", strategy_binary_algorithm)]
-    query_budget = args.query_budget if args.query_budget else 4 ** args.k + 100
+    query_budget = args.query_budget if args.query_budget is not None else 4 ** args.k + 100
     lines_out = [
         f"adversary k={inst.k}: h2 = complete minus {{{inst.f1}, {inst.f2}}}",
         f"thresholds: queries 2^k-1 = {2 ** inst.k - 1}, pairs C(2k,k)/2 = {comb(2 * inst.k, inst.k) // 2}",
@@ -387,12 +388,11 @@ def _cmd_search_cert(args: argparse.Namespace) -> int:
             {"found": False, "max_support": support},
         )
         return EXIT_OK
-    entries = [{"set": list(g), "val": "1"} for g in sorted(labeling)]
+    cert = EquatableCertificate(tuple(sorted(labeling.items())))
     _emit(
         args,
-        [f"found 0/1 certificate with {len(labeling)} ones: "
-         + " ".join(str(list(g)) for g in sorted(labeling))],
-        {"found": True, "max_support": support, "certificate": {"kind": "equatable", "y": entries}},
+        [f"found 0/1 certificate with {len(labeling)} ones: " + " ".join(str(list(g)) for g, _ in cert.y)],
+        {"found": True, "max_support": support, "certificate": certificate_obj(cert)},
     )
     return EXIT_OK
 

@@ -13,8 +13,8 @@ returning.
 
 Two independent deciders are provided: decide() runs an exact phase-I simplex
 (Bland's rule, lexicographic column order), and decide_fm() runs
-Fourier-Motzkin elimination with multiplier tracking. They share nothing but
-the verifiers.
+Fourier-Motzkin elimination with multiplier tracking. They share only the
+verifiers, the _package_* certificate checks and the _coprime_factor scaling.
 """
 
 from __future__ import annotations
@@ -90,25 +90,18 @@ def build_system(h: Hypergraph, budget: Optional[int] = None) -> FarkasSystem:
     return FarkasSystem(rows, tuple(matrix), tuple(rhs))
 
 
-def _coprime_integer_scale(values: list[Fraction]) -> list[Fraction]:
-    """Scale a rational vector by a positive rational to coprime integers."""
+def _coprime_factor(values: list[Fraction]) -> Fraction:
+    """The positive rational scaling values to coprime integers (1 if all are 0)."""
     nonzero = [v for v in values if v]
     if not nonzero:
-        return values
-    denom_lcm = 1
-    for v in nonzero:
-        denom_lcm = lcm(denom_lcm, v.denominator)
-    scaled = [v * denom_lcm for v in values]
-    g = 0
-    for v in scaled:
-        g = gcd(g, abs(v.numerator))
-    if g > 1:
-        scaled = [v / g for v in scaled]
-    return scaled
+        return ONE
+    denom_lcm = lcm(*(v.denominator for v in nonzero))
+    return Fraction(denom_lcm, gcd(*(v.numerator * (denom_lcm // v.denominator) for v in nonzero)))
 
 
 def _package_separable(h: Hypergraph, x: list[Fraction]) -> SeparableCertificate:
-    cert = SeparableCertificate(tuple(_coprime_integer_scale(x)))
+    scale = _coprime_factor(x)
+    cert = SeparableCertificate(tuple(v * scale for v in x))
     violation = separating_violation(h, cert.x)
     if violation is not None:
         raise InternalVerificationError(f"separable certificate fails at {violation}")
@@ -117,8 +110,8 @@ def _package_separable(h: Hypergraph, x: list[Fraction]) -> SeparableCertificate
 
 def _package_equatable(h: Hypergraph, labeling: SetLabeling) -> EquatableCertificate:
     keys = sorted(g for g, v in labeling.items() if v)
-    vals = _coprime_integer_scale([labeling[g] for g in keys])
-    cert = EquatableCertificate(tuple(zip(keys, vals)))
+    scale = _coprime_factor([labeling[g] for g in keys])
+    cert = EquatableCertificate(tuple((g, labeling[g] * scale) for g in keys))
     violation = equatable_violation(h, cert.as_dict())
     if violation is not None:
         raise InternalVerificationError(f"equatable certificate fails: {violation}")
@@ -286,23 +279,10 @@ _FmRow = tuple[list[Fraction], Fraction, list[Fraction]]  # coeffs, rhs, multipl
 def _fm_normalize(coeffs: list[Fraction], rhs: Fraction, mult: list[Fraction]) -> _FmRow:
     """Scale a derived inequality to coprime integer coefficients; the
     multiplier vector is scaled identically to stay a witness."""
-    nonzero = [c for c in coeffs if c]
-    if rhs:
-        nonzero.append(rhs)
-    if not nonzero:
+    scale = _coprime_factor(coeffs + [rhs])
+    if scale == 1:
         return coeffs, rhs, mult
-    denom_lcm = 1
-    for c in nonzero:
-        denom_lcm = lcm(denom_lcm, c.denominator)
-    g = 0
-    for c in nonzero:
-        g = gcd(g, abs(c.numerator) * (denom_lcm // c.denominator))
-    scale = Fraction(denom_lcm, g if g else 1)
-    if scale != 1:
-        coeffs = [c * scale for c in coeffs]
-        rhs = rhs * scale
-        mult = [c * scale for c in mult]
-    return coeffs, rhs, mult
+    return [c * scale for c in coeffs], rhs * scale, [c * scale for c in mult]
 
 
 def decide_fm(h: Hypergraph) -> Certificate:

@@ -172,13 +172,10 @@ def run_enumeration(
     unknown = check_set - ALL_CHECKS
     if unknown:
         raise Inapplicable(f"unknown checks {sorted(unknown)}")
-    if n < 0 or k < 0:
-        raise Inapplicable(f"enumeration needs n >= 0 and k >= 0, got n={n} k={k}")
+    if not 1 <= k < n:
+        raise Inapplicable(f"enumeration needs 1 <= k < n, got n={n} k={k}")
 
     tables = MaskTables(n, k, budget)
-    # the paving filter counts (k-1)-subsets; the canonical partition has k parts
-    if klass in ("paving", "multipartite") and k < 1:
-        raise Inapplicable(f"class {klass!r} requires k >= 1")
     counts = {
         "total": 0,
         "separable": 0,
@@ -199,21 +196,19 @@ def run_enumeration(
         matroid_mask = tables.is_matroid_mask(mask)
         if klass in ("matroids", "paving", "binary") and not matroid_mask:
             continue
-        if klass == "paving" and not tables.is_paving_mask(mask):
+        paving = matroid_mask and tables.is_paving_mask(mask)
+        if klass == "paving" and not paving:
             continue
         h = tables.hypergraph(mask)
         basis_matroid = BasisMatroid(h) if matroid_mask else None
-        binary = is_binary(basis_matroid) if basis_matroid is not None else False
+        binary = matroid_mask and is_binary(basis_matroid)
         if klass == "binary" and not binary:
             continue
 
         counts["total"] += 1
-        if matroid_mask:
-            counts["matroids"] += 1
-            if tables.is_paving_mask(mask):
-                counts["paving"] += 1
-            if binary:
-                counts["binary"] += 1
+        counts["matroids"] += matroid_mask
+        counts["paving"] += paving
+        counts["binary"] += binary
 
         cert = decide(h)
         counts[cert.kind] += 1
@@ -242,7 +237,8 @@ def run_enumeration(
                 violate("monotone", "2-monotone disagrees with not-exchangeable")
 
         if "transforms" in check_set:
-            comp_kind = decide(complement(h)).kind
+            comp = complement(h)
+            comp_kind = decide(comp).kind
             dual_h = dual(h)
             dual_cert = decide(dual_h)
             if comp_kind != cert.kind or dual_cert.kind != cert.kind:
@@ -254,16 +250,14 @@ def run_enumeration(
                 }
                 if not verify_equatable(dual_h, transported):
                     violate("transforms", "transported dual labeling fails verification")
-            comp_witness = is_exchangeable(complement(h))
-            dual_witness = is_exchangeable(dual_h)
-            if (witness is None) != (comp_witness is None) or (witness is None) != (dual_witness is None):
+            if not (witness is None) == (is_exchangeable(comp) is None) == (is_exchangeable(dual_h) is None):
                 violate("transforms", "exchangeability not preserved by complement/dual")
 
         if "theorems" in check_set:
             in_proved_class = (
                 k <= 2
                 or klass == "multipartite"
-                or (matroid_mask and (k == 3 or tables.is_paving_mask(mask) or binary))
+                or (matroid_mask and (k == 3 or paving or binary))
             )
             if in_proved_class and (cert.kind == "equatable") != (witness is not None):
                 violate("theorems", f"{cert.kind} but exchangeable = {witness is not None}")

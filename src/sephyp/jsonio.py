@@ -48,6 +48,13 @@ def _int_field(obj: dict, key: str, context: str) -> int:
     return value
 
 
+def _int_tuple(value: Any, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; JSON booleans are not integers here."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise FormatError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
 def parse_hypergraph(obj: dict) -> Hypergraph:
     n = _int_field(obj, "n", "hypergraph")
     k = _int_field(obj, "k", "hypergraph")
@@ -56,9 +63,7 @@ def parse_hypergraph(obj: dict) -> Hypergraph:
         raise FormatError("hypergraph: edges must be a list")
     edges: list[KSet] = []
     for idx, e in enumerate(raw):
-        if not isinstance(e, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
-            raise FormatError(f"hypergraph: edges[{idx}] must be a list of integers")
-        t = tuple(e)
+        t = _int_tuple(e, f"hypergraph: edges[{idx}]")
         if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
             raise FormatError(f"hypergraph: edges[{idx}] = {e} is not strictly increasing")
         if edges and t <= edges[-1]:
@@ -89,9 +94,10 @@ def parse_graph(obj: dict) -> Graph:
         raise FormatError("graph: edges must be a list")
     edges = []
     for idx, e in enumerate(raw):
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, int) for v in e):
+        pair = _int_tuple(e, f"graph: edges[{idx}]")
+        if len(pair) != 2:
             raise FormatError(f"graph: edges[{idx}] must be a pair of integers")
-        edges.append((e[0], e[1]))
+        edges.append(pair)
     return Graph(vertices, tuple(edges))
 
 
@@ -124,9 +130,9 @@ def parse_partition(text: str) -> Partition:
     if not isinstance(obj, dict):
         raise FormatError("partition file must be a JSON object")
     parts = _require(obj, "parts", "partition")
-    if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
+    if not isinstance(parts, list):
         raise FormatError("partition: parts must be a list of lists")
-    return Partition.from_parts(parts)
+    return Partition.from_parts(_int_tuple(p, f"partition: parts[{idx}]") for idx, p in enumerate(parts))
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -143,15 +149,15 @@ def parse_certificate(text: str) -> Certificate:
         raw = _require(obj, "y", "certificate")
         if not isinstance(raw, list):
             raise FormatError("certificate: y must be a list")
-        entries: list[tuple[KSet, Fraction]] = []
+        y: dict[KSet, Fraction] = {}
         for idx, item in enumerate(raw):
             if not isinstance(item, dict):
                 raise FormatError(f"certificate: y[{idx}] must be an object")
-            kset = _require(item, "set", f"certificate y[{idx}]")
-            if not isinstance(kset, list) or not all(isinstance(v, int) for v in kset):
-                raise FormatError(f"certificate: y[{idx}].set must be a list of integers")
-            entries.append((tuple(kset), parse_rational(_require(item, "val", f"certificate y[{idx}]"))))
-        return EquatableCertificate(tuple(entries))
+            kset = _int_tuple(_require(item, "set", f"certificate y[{idx}]"), f"certificate: y[{idx}].set")
+            if kset in y:
+                raise FormatError(f"certificate: y[{idx}].set {list(kset)} repeats an earlier set")
+            y[kset] = parse_rational(_require(item, "val", f"certificate y[{idx}]"))
+        return EquatableCertificate(tuple(y.items()))
     raise FormatError(f"certificate: unknown kind {kind!r}")
 
 

@@ -231,48 +231,34 @@ def coloops(m: BasisMatroid) -> frozenset[int]:
     return frozenset(common)
 
 
-def _renumber(edges: Iterable[frozenset[int]], n: int, removed: int) -> tuple[set[KSet], dict[int, int]]:
-    mapping = {w: (w if w < removed else w - 1) for w in range(1, n + 1) if w != removed}
-    renamed = {tuple(sorted(mapping[w] for w in e)) for e in edges}
-    return renamed, mapping
+def _minor(m: BasisMatroid, v: int, new_k: int, kept: Iterable[frozenset[int]], what: str
+           ) -> tuple[BasisMatroid, dict[int, int]]:
+    """The minor on the bases kept, its ground set renumbered densely (indices
+    above v shift down), and the old-to-new vertex mapping."""
+    if not 1 <= v <= m.n:
+        raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
+    if new_k < 1 or new_k >= m.n - 1:
+        raise RankCollapse(f"{what} leaves k={new_k} on {m.n - 1} vertices")
+    mapping = {w: (w if w < v else w - 1) for w in range(1, m.n + 1) if w != v}
+    renamed = frozenset(tuple(sorted(mapping[w] for w in e)) for e in kept)
+    return BasisMatroid(Hypergraph(m.n - 1, new_k, renamed)), mapping
 
 
 def delete(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
-    """Deletion minor; drops rank by one exactly when v is a coloop.
-
-    The ground set is renumbered densely (indices above v shift down) and the
-    old-to-new vertex mapping is returned alongside the minor.
-    """
-    if not 1 <= v <= m.n:
-        raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
-    if v in coloops(m):
-        new_k = m.k - 1
-        kept = [b - {v} for b in m.base_sets]  # coloop: deletion equals contraction
-    else:
-        new_k = m.k
-        kept = [b for b in m.base_sets if v not in b]
-    new_n = m.n - 1
-    if new_k < 1 or new_k >= new_n:
-        raise RankCollapse(f"deletion leaves k={new_k} on {new_n} vertices")
-    renamed, mapping = _renumber(kept, m.n, v)
-    return BasisMatroid(Hypergraph(new_n, new_k, frozenset(renamed))), mapping
+    """Deletion minor and the old-to-new vertex mapping; drops rank by one
+    exactly when v is a coloop. The ground set is renumbered densely: indices
+    above v shift down."""
+    if v in coloops(m):  # coloop: deletion equals contraction
+        return _minor(m, v, m.k - 1, [b - {v} for b in m.base_sets], "deletion")
+    return _minor(m, v, m.k, [b for b in m.base_sets if v not in b], "deletion")
 
 
 def contract(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
-    """Contraction minor; keeps rank exactly when v is a loop."""
-    if not 1 <= v <= m.n:
-        raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
-    if v in loops(m):
-        new_k = m.k
-        kept = list(m.base_sets)  # loop: contraction equals deletion, edges untouched
-    else:
-        new_k = m.k - 1
-        kept = [b - {v} for b in m.base_sets if v in b]
-    new_n = m.n - 1
-    if new_k < 1 or new_k >= new_n:
-        raise RankCollapse(f"contraction leaves k={new_k} on {new_n} vertices")
-    renamed, mapping = _renumber(kept, m.n, v)
-    return BasisMatroid(Hypergraph(new_n, new_k, frozenset(renamed))), mapping
+    """Contraction minor and its vertex mapping, renumbered as in delete;
+    keeps rank exactly when v is a loop."""
+    if v in loops(m):  # loop: contraction equals deletion, bases untouched
+        return _minor(m, v, m.k, m.base_sets, "contraction")
+    return _minor(m, v, m.k - 1, [b - {v} for b in m.base_sets if v in b], "contraction")
 
 
 def _circuits_within(m: BasisMatroid, ground: Iterable[int]) -> list[KSet]:

@@ -86,10 +86,13 @@ def decide_binary_via_oracle(n: int, k: int, oracle: IndependenceOracle) -> Orac
     """
     if not 1 <= k <= n:
         raise OracleInconsistent(f"rank {k} impossible on {n} elements")
-    if k == 1:
-        # every 1-matroid is separable: label basis singletons 0, loops -1
-        return OracleDecision(SEPARABLE, oracle.queries_used, tuple(oracle.trace))
+    # every 1-matroid is separable: label basis singletons 0, loops -1
+    verdict = SEPARABLE if k == 1 else _pair_verdict(n, k, oracle)
+    return OracleDecision(verdict, oracle.queries_used, tuple(oracle.trace))
 
+
+def _pair_verdict(n: int, k: int, oracle: IndependenceOracle) -> str:
+    """The verdict of decide_binary_via_oracle for k >= 2."""
     dep: dict[frozenset[int], bool] = {}
     for u, v in combinations(range(1, n + 1), 2):
         dep[frozenset((u, v))] = not oracle.query((u, v))
@@ -101,7 +104,7 @@ def decide_binary_via_oracle(n: int, k: int, oracle: IndependenceOracle) -> Orac
     if n2 < k:
         raise OracleInconsistent(f"only {n2} non-loops for promised rank {k}")
     if n2 <= k + 1:
-        return OracleDecision(SEPARABLE, oracle.queries_used, tuple(oracle.trace))
+        return SEPARABLE
 
     try:
         parts = _lines_from_dependence(nonloops, lambda a, b: dep[frozenset((a, b))])
@@ -110,16 +113,15 @@ def decide_binary_via_oracle(n: int, k: int, oracle: IndependenceOracle) -> Orac
 
     nontrivial = [p for p in parts if len(p) >= 2]
     if len(nontrivial) >= 2:
-        return OracleDecision(EQUATABLE, oracle.queries_used, tuple(oracle.trace))
+        return EQUATABLE
     largest = max(len(p) for p in parts)
     if n2 == largest + k - 1:
-        return OracleDecision(SEPARABLE, oracle.queries_used, tuple(oracle.trace))
+        return SEPARABLE
     if n2 > largest + k:
-        return OracleDecision(EQUATABLE, oracle.queries_used, tuple(oracle.trace))
+        return EQUATABLE
     if n2 == largest + k:
         trivials = tuple(v for p in parts if len(p) == 1 for v in p)
-        verdict = EQUATABLE if not oracle.query(trivials) else SEPARABLE
-        return OracleDecision(verdict, oracle.queries_used, tuple(oracle.trace))
+        return EQUATABLE if not oracle.query(trivials) else SEPARABLE
     raise OracleInconsistent(
         f"{n2} non-loops with largest line {largest} impossible at rank {k}"
     )
@@ -185,19 +187,15 @@ def run_indistinguishability_check(
     queried = set(kset_queries)
     consistent = inst.f1 not in queried and inst.f2 not in queried
 
+    def pair(q: KSet) -> tuple[KSet, KSet]:
+        """q and its complement in [2k], in sorted order."""
+        partner = tuple(v for v in range(1, n + 1) if v not in q)
+        return min(q, partner), max(q, partner)
+
     universe = inst.h1.sorted_edges()  # h1 is the complete k-hypergraph
     pairs_total = len(universe) // 2
-    touched: set[tuple[KSet, ...]] = set()
-    for q in queried:
-        partner = tuple(sorted(set(range(1, n + 1)) - set(q)))
-        touched.add(tuple(sorted((q, partner))))
-    unqueried_pair = None
-    for g in universe:
-        partner = tuple(sorted(set(range(1, n + 1)) - set(g)))
-        pair = tuple(sorted((g, partner)))
-        if pair not in touched:
-            unqueried_pair = (pair[0], pair[1])
-            break
+    touched = set(map(pair, queried))
+    unqueried_pair = next((p for p in map(pair, universe) if p not in touched), None)
 
     alternative_kind = None
     if unqueried_pair is not None:

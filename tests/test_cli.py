@@ -111,6 +111,36 @@ class TestVerify:
         assert code == 64
 
 
+    def test_repeated_set_refused(self, capsys, tmp_path):
+        # the entries after the repeat form a valid certificate, so only the repeat can fail it
+        y = json.loads((Path(FX) / "paving_five_y.json").read_text())["y"]
+        cert = tmp_path / "repeat.json"
+        cert.write_text(json.dumps({"kind": "equatable", "y": [dict(y[0], val="100")] + y}))
+        code, _, err = run(capsys, "verify", f"{FX}/paving_five.json", str(cert))
+        assert code == 64 and "y[1].set [1, 2, 5] repeats an earlier set" in err
+
+
+class TestIntegerLists:
+    """Hypergraph edges, graph edges, certificate sets and partition parts
+    are lists of JSON integers; a boolean is not vertex 1."""
+
+    @pytest.mark.parametrize("text,argv", [
+        ('{"type":"hypergraph","n":3,"k":2,"edges":[[true,2]]}', ["decide"]),
+        ('{"type":"graph","vertices":3,"edges":[[true,2],[2,3],[1,3]]}', ["decide"]),
+        ('{"kind":"equatable","y":[{"set":[true,2,5],"val":"1"},{"set":[1,3,5],"val":"1"},'
+         '{"set":[2,4,5],"val":"1"},{"set":[3,4,5],"val":"1"}]}', ["verify", f"{FX}/paving_five.json"]),
+        ('{"parts":[[1,"a"],[3,4],[5,6]]}', ["analyze", f"{FX}/equatable_six.json", "--multipartite"]),
+        ('{"parts":[[1,[2]],[3,4],[5,6]]}', ["analyze", f"{FX}/equatable_six.json", "--multipartite"]),
+        ('{"parts":[[true,2],[3,4],[5,6]]}', ["analyze", f"{FX}/equatable_six.json", "--multipartite"]),
+    ], ids=["hypergraph-edge-true", "graph-edge-true", "certificate-set-true",
+            "part-string", "part-list", "part-true"])
+    def test_non_integer_refused(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 64 and err.startswith("parse error:") and "must be a list of integers" in err
+
+
 class TestAnalyze:
     def test_counterexample_nine_flags(self, capsys):
         code, out, _ = run(capsys, "analyze", f"{FX}/counterexample_nine.json", "--exchangeable", "--monotone", "2")
@@ -198,6 +228,11 @@ class TestAdversary:
         assert "2^k-1 = 7" in out and "C(2k,k)/2 = 10" in out
         assert "unqueried pair" in out
 
+    def test_query_budget_zero(self, capsys):
+        code, out, _ = run(capsys, "adversary", "--k", "2", "--query-budget", "0", "--output", "json")
+        report = json.loads(out)["strategies"]["binary-algorithm"]
+        assert code == 0 and report["queries"] == 0 and report["budget_exhausted"]
+
     def test_json_report_schema(self, capsys):
         code, out, _ = run(capsys, "adversary", "--k", "2", "--output", "json")
         assert code == 0
@@ -218,7 +253,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("argv", [
         ["--n", "-1", "--k", "2"], ["--n", "3", "--k", "0", "--class", "paving"],
-        ["--n", "3", "--k", "0", "--class", "multipartite"],
+        ["--n", "3", "--k", "0", "--class", "multipartite"], ["--n", "3", "--k", "5"],
+        ["--n", "3", "--k", "3", "--class", "binary"], ["--n", "4", "--k", "0"],
     ], ids=" ".join)
     def test_shape_inapplicable(self, capsys, argv):
         code, _, err = run(capsys, "enumerate", *argv)

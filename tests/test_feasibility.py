@@ -252,10 +252,10 @@ def _golden_random_corpus():
     return corpus
 
 
-def _certificate_digest(instances) -> str:
+def _certificate_digest(instances, decider=decide) -> str:
     digest = hashlib.sha256()
     for h in instances:
-        digest.update(dumps(certificate_obj(decide(h))).encode())
+        digest.update(dumps(certificate_obj(decider(h))).encode())
     return digest.hexdigest()
 
 
@@ -276,4 +276,12 @@ class TestGoldenCertificates:
     def test_seeded_random(self):
         assert _certificate_digest(_golden_random_corpus()) == (
             "97696354384f8ba17c16e3d2d61ca26325c2642096e62923d1d993aeebe3d13a"
+        )
+
+    def test_fm_exhaustive(self):
+        # decide_fm on every hypergraph with 2 <= n <= 5, recorded before
+        # its row scaling was shared with decide
+        instances = (h for n in range(2, 6) for k in range(1, n) for h in enumerate_hypergraphs(n, k))
+        assert _certificate_digest(instances, decide_fm) == (
+            "7083ca4934337d4b8a1b0545fc8d681fc64d524f3b9fb89763cd330f546ac536"
         )

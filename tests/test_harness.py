@@ -1,5 +1,6 @@
 """Enumeration harness: class filters, counts, and the law-check machinery."""
 
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -7,7 +8,8 @@ from math import comb
 import pytest
 
 from sephyp.errors import BudgetExceeded, RankZero
-from sephyp.harness import MaskTables, canonical_partition, enumerate_hypergraphs, run_enumeration
+from sephyp.harness import ALL_CHECKS, CLASSES, MaskTables, canonical_partition, enumerate_hypergraphs, run_enumeration
+from sephyp.jsonio import dumps
 from sephyp.matroid import Gf2Matrix, exchange_violation, from_gf2_matrix, is_matroid, is_paving, BasisMatroid
 
 EXHAUSTIVE_SHAPES = ((4, 2), (5, 2), (5, 3))
@@ -172,3 +174,14 @@ class TestRunEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             run_enumeration(10, 5, "all")
+
+    def test_golden_reports(self):
+        # every class with every check on every valid (n, k) with n <= 5:
+        # 53 reports, recorded before the mask filter computed each property once
+        digest = hashlib.sha256()
+        for n in range(2, 6):
+            for k in range(1, n):
+                for klass in CLASSES:
+                    if klass != "graphs" or k == 2:
+                        digest.update(dumps(run_enumeration(n, k, klass, ALL_CHECKS).as_obj()).encode())
+        assert digest.hexdigest() == "0ddbac199e1c4555a6c57fa16da7ddf2e44f92d675fa310faab3efc45d487843"
