@@ -12,8 +12,9 @@ enumerate, search-cert. Exit codes are a stable contract:
     70  internal verification failure (a bug, not user error)
 
 SEPHYP_BUDGET (an integer of absolute value at most 10**100) replaces the
-default cap of each budget below except the last; each is checked before
-its loop starts, on the work that loop will do:
+default cap of each budget below except the last two; each but the last is
+checked before its loop starts, on the work that loop will do, and the last
+on each Fourier-Motzkin stage once it is built:
 
     operation                               counts                default
     any building the C(n,k) k-set universe  k-sets                200000
@@ -22,6 +23,7 @@ its loop starts, on the work that loop will do:
     matroid circuits, matroid binary        ground subsets, 2^n   2^22
     search-cert                             support combinations  5000000
     decide --method fm                      vertices              6
+    decide --method fm                      rows of one stage     200000
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
 """Exact rational separability decision with independently verifiable certificates.
 
-All arithmetic is exact: certificates and verifiers use fractions.Fraction,
-and the revised simplex in decide() keeps d B^-1, the rhs column and the
+All arithmetic is exact: certificates and verifiers use fractions.Fraction.
+The revised simplex in decide() keeps d B^-1, the rhs column and the
 artificial part of the objective row as ints over one shared positive
 denominator d, pricing each k-set column from the k-set itself when it is
-needed; there is no floating point and no tolerance. A hypergraph is
-either separable (a vertex labeling x realizes the edge set as the k-sets of
-nonnegative sum) or equatable (a nonnegative, nonzero k-set labeling balances
-edge mass against non-edge mass at every vertex), never both; decide()
-returns whichever certificate exists and always self-checks it before
-returning.
+needed. decide_fm() keeps every Fourier-Motzkin row as coprime ints, so
+Fractions appear there only in multipliers, bounds and certificates. There
+is no floating point and no tolerance. A hypergraph is either separable (a
+vertex labeling x realizes the edge set as the k-sets of nonnegative sum) or
+equatable (a nonnegative, nonzero k-set labeling balances edge mass against
+non-edge mass at every vertex), never both; decide() returns whichever
+certificate exists and always self-checks it before returning.
 
 Two independent deciders are provided: decide() runs an exact phase-I simplex
 (Bland's rule, lexicographic column order), and decide_fm() runs
 Fourier-Motzkin elimination with multiplier tracking. They share only the
-verifiers, the _package_* certificate checks and the _coprime_factor scaling.
+verifiers and the _package_* certificate checks with their _coprime_factor
+scaling.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError
-from .hypercore import CERT_SEARCH_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
+from .hypercore import CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
 
 SetLabeling = dict[KSet, Fraction]
 
@@ -259,125 +261,86 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
                 labeling[rows[j]] = Fraction(tableau[i][-1], d)
         return _package_equatable(h, labeling)
 
-    # Infeasible: dual values u_i = 1 - reduced cost of artificial i satisfy
-    # A (u[:n]) <= u[n] b with u[n] = objective > 0, so x = u[:n] / u[n].
-    u = [ONE - Fraction(z[i], d) for i in range(n + 1)]
-    lam = u[n]
+    # Infeasible: dual values u_i = 1 - reduced cost of artificial i, that is
+    # (d - z[i]) / d, satisfy A (u[:n]) <= u[n] b with u[n] = objective > 0,
+    # so x = u[:n] / u[n] and the d cancels.
+    lam = d - z[n]
     if lam <= 0:
         raise InternalVerificationError("Farkas scaling factor not positive")
-    x = [u[i] / lam for i in range(n)]
-    return _package_separable(h, x)
+    return _package_separable(h, [Fraction(d - z[i], lam) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin route
 # ---------------------------------------------------------------------------
 
-_FmRow = tuple[list[Fraction], Fraction, list[Fraction]]  # coeffs, rhs, multiplier
-
-
-def _fm_normalize(coeffs: list[Fraction], rhs: Fraction, mult: list[Fraction]) -> _FmRow:
-    """Scale a derived inequality to coprime integer coefficients; the
-    multiplier vector is scaled identically to stay a witness."""
-    scale = _coprime_factor(coeffs + [rhs])
-    if scale == 1:
-        return coeffs, rhs, mult
-    return [c * scale for c in coeffs], rhs * scale, [c * scale for c in mult]
-
-
 def decide_fm(h: Hypergraph) -> Certificate:
     """Same contract as decide(), via Fourier-Motzkin elimination on Ax <= b.
 
-    Each surviving inequality carries the nonnegative multiplier vector that
-    derives it from the original rows; an all-zero inequality with negative
-    right-hand side therefore hands us the equatability labeling directly.
+    Each row is one int list, the n coefficients then the rhs, with no common
+    factor: eliminating var combines a row p positive on it with a row q
+    negative on it as (-q[var]) p + p[var] q over their gcd, and of rows with
+    equal coefficients keeps the first of smallest rhs. Each row carries the
+    nonnegative multiplier vector that derives it from the original rows,
+    combined from the same two factors over the same gcd, so an all-zero row
+    with negative rhs hands us the equatability labeling directly. Fractions
+    appear only in multipliers, back-substituted bounds and the certificate.
     """
     if h.n > FM_VERTEX_BUDGET:
         raise BudgetExceeded(f"Fourier-Motzkin guard: n = {h.n} > {FM_VERTEX_BUDGET}")
     system = build_system(h)
     m = len(system.rows)
     n = h.n
+    kept: dict[tuple[int, ...], tuple[list[int], list]] = {}
 
-    def unit(i: int) -> list[Fraction]:
-        row = [ZERO] * m
-        row[i] = ONE
-        return row
+    def keep(row: list[int], mult: list) -> None:
+        # An all-zero row is trivially true unless it is a contradiction.
+        key = tuple(row[:n])
+        if any(key) or row[n] < 0:
+            old = kept.get(key)
+            if old is None or row[n] < old[0][n]:
+                kept[key] = (row, mult)
 
-    rows: list[_FmRow] = [
-        ([Fraction(c) for c in system.matrix[i]], Fraction(system.rhs[i]), unit(i))
-        for i in range(m)
-    ]
-    stages: list[list[_FmRow]] = []
-
-    def contradiction(rows_list: list[_FmRow]) -> Optional[_FmRow]:
-        for row in rows_list:
-            if not any(row[0]) and row[1] < 0:
-                return row
-        return None
-
-    for var in range(n):
-        stages.append(rows)
-        bad = contradiction(rows)
+    for i, (coeffs, rhs) in enumerate(zip(system.matrix, system.rhs)):
+        keep([*coeffs, rhs], [int(i == j) for j in range(m)])
+    stages: list[list[tuple[list[int], list]]] = []
+    for var in range(n + 1):
+        rows = list(kept.values())
+        if len(rows) > FM_ROW_BUDGET:
+            raise BudgetExceeded("Fourier-Motzkin row blowup")
+        bad = kept.get((0,) * n)
         if bad is not None:
-            labeling = {system.rows[i]: bad[2][i] for i in range(m) if bad[2][i]}
-            return _package_equatable(h, labeling)
+            return _package_equatable(h, {g: c for g, c in zip(system.rows, bad[1]) if c})
+        if var == n:
+            break
+        stages.append(rows)
+        kept = {}
+        for row, mult in rows:
+            if not row[var]:
+                keep(row, mult)
         pos = [r for r in rows if r[0][var] > 0]
         neg = [r for r in rows if r[0][var] < 0]
-        zero = [r for r in rows if r[0][var] == 0]
-        combined: dict[tuple[Fraction, ...], _FmRow] = {}
-        found_contradiction: list[_FmRow] = []
-
-        def keep(row: _FmRow) -> None:
-            coeffs, rhs, _ = row
-            if not any(coeffs):
-                if rhs < 0 and not found_contradiction:
-                    found_contradiction.append(row)
-                return  # all-zero rows are trivially true or a kept contradiction
-            key = tuple(coeffs)
-            old = combined.get(key)
-            if old is None or rhs < old[1]:
-                combined[key] = row
-
-        for row in zero:
-            keep(row)
-        for p in pos:
-            pc, prhs, pm = p
-            pscale = ONE / pc[var]
-            for q in neg:
-                qc, qrhs, qm = q
-                qscale = ONE / -qc[var]
-                coeffs = [pc[j] * pscale + qc[j] * qscale for j in range(n)]
-                coeffs[var] = ZERO
-                rhs = prhs * pscale + qrhs * qscale
-                mult = [pm[j] * pscale + qm[j] * qscale for j in range(m)]
-                keep(_fm_normalize(coeffs, rhs, mult))
-        rows = found_contradiction + list(combined.values())
-        if len(rows) > 200_000:
-            raise BudgetExceeded("Fourier-Motzkin row blowup")
-
-    bad = contradiction(rows)
-    if bad is not None:
-        labeling = {system.rows[i]: bad[2][i] for i in range(m) if bad[2][i]}
-        return _package_equatable(h, labeling)
+        for p, pm in pos:
+            for q, qm in neg:
+                a, b = -q[var], p[var]
+                row = [a * s + b * t for s, t in zip(p, q)]
+                mult = [a * s + b * t for s, t in zip(pm, qm)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [c // g for c in row]
+                    mult = [Fraction(c, g) for c in mult]
+                keep(row, mult)
 
     # Feasible: back-substitute, tightest lower bound first, else upper, else 0.
     x: list[Fraction] = [ZERO] * n
     for var in range(n - 1, -1, -1):
-        lower = upper = None
-        for coeffs, rhs, _ in stages[var]:
-            c = coeffs[var]
-            if not c:
-                continue
-            resid = rhs - sum((coeffs[w] * x[w] for w in range(var + 1, n)), ZERO)
-            bound = resid / c
-            if c > 0:
-                upper = bound if upper is None else min(upper, bound)
-            else:
-                lower = bound if lower is None else max(lower, bound)
-        if lower is not None:
-            x[var] = lower
-        elif upper is not None:
-            x[var] = upper
+        lower: list[Fraction] = []
+        upper: list[Fraction] = []
+        for row, _ in stages[var]:
+            if row[var]:
+                bound = Fraction(row[n] - sum(row[w] * x[w] for w in range(var + 1, n)), row[var])
+                (upper if row[var] > 0 else lower).append(bound)
+        x[var] = max(lower) if lower else min(upper, default=ZERO)
     return _package_separable(h, x)
 
 

@@ -24,6 +24,7 @@ PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of is_r_monotone and find_summ
 CIRCUIT_GROUND_BUDGET = 2 ** 22  # ground subsets, 2^n, behind matroid.circuits
 CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
+FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage
 
 ISOLATED = "isolated"
 DOMINATING = "dominating"

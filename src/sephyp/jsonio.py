@@ -24,7 +24,7 @@ Instance = Union[Hypergraph, Gf2Matrix, Graph]
 
 
 def parse_rational(text: Any) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:  # a JSON boolean is not the rational 1
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise FormatError(f"rational must be a decimal-integer or p/q string, got {text!r}")
@@ -82,9 +82,9 @@ def parse_gf2(obj: dict) -> Gf2Matrix:
     rows = _int_field(obj, "rows", "gf2")
     cols = _int_field(obj, "cols", "gf2")
     bits = _require(obj, "bits", "gf2")
-    if not isinstance(bits, list) or not all(isinstance(r, list) for r in bits):
+    if not isinstance(bits, list):
         raise FormatError("gf2: bits must be a list of rows")
-    return Gf2Matrix(rows, cols, tuple(tuple(r) for r in bits))
+    return Gf2Matrix(rows, cols, tuple(_int_tuple(r, f"gf2: bits[{idx}]") for idx, r in enumerate(bits)))
 
 
 def parse_graph(obj: dict) -> Graph:

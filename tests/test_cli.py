@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from sephyp import harness
 from sephyp.cli import main
 
 FX = "fixtures"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+GF2_TRUE = '{"type":"gf2","rows":2,"cols":3,"bits":[[true,0,1],[0,true,1]]}'
 
 
 def run(capsys, *argv):
@@ -121,8 +123,9 @@ class TestVerify:
 
 
 class TestIntegerLists:
-    """Hypergraph edges, graph edges, certificate sets and partition parts
-    are lists of JSON integers; a boolean is not vertex 1."""
+    """Hypergraph edges, graph edges, gf2 rows, certificate sets and partition
+    parts are lists of JSON integers, and certificate values are integers or
+    strings; a boolean is neither vertex 1, bit 1 nor the rational 1."""
 
     @pytest.mark.parametrize("text,argv", [
         ('{"type":"hypergraph","n":3,"k":2,"edges":[[true,2]]}', ["decide"]),
@@ -132,13 +135,26 @@ class TestIntegerLists:
         ('{"parts":[[1,"a"],[3,4],[5,6]]}', ["analyze", f"{FX}/equatable_six.json", "--multipartite"]),
         ('{"parts":[[1,[2]],[3,4],[5,6]]}', ["analyze", f"{FX}/equatable_six.json", "--multipartite"]),
         ('{"parts":[[true,2],[3,4],[5,6]]}', ["analyze", f"{FX}/equatable_six.json", "--multipartite"]),
+        (GF2_TRUE, ["matroid", "lines"]),
+        (GF2_TRUE, ["oracle-decide"]),
     ], ids=["hypergraph-edge-true", "graph-edge-true", "certificate-set-true",
-            "part-string", "part-list", "part-true"])
+            "part-string", "part-list", "part-true", "gf2-bit-true-lines", "gf2-bit-true-oracle"])
     def test_non_integer_refused(self, capsys, tmp_path, text, argv):
         path = tmp_path / "input.json"
         path.write_text(text)
         code, _, err = run(capsys, *argv, str(path))
         assert code == 64 and err.startswith("parse error:") and "must be a list of integers" in err
+
+    @pytest.mark.parametrize("text,instance", [
+        ('{"kind":"equatable","y":[{"set":[1,2,5],"val":true},{"set":[1,3,5],"val":true},'
+         '{"set":[2,4,5],"val":true},{"set":[3,4,5],"val":true}]}', "paving_five.json"),
+        ('{"kind":"separable","x":["-1","-1","-1","3","-2",true]}', "separable_six.json"),
+    ], ids=["certificate-val-true", "certificate-x-true"])
+    def test_boolean_rational_refused(self, capsys, tmp_path, text, instance):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", f"{FX}/{instance}", str(path))
+        assert code == 64 and err.startswith("parse error: rational must be")
 
 
 class TestAnalyze:
@@ -172,6 +188,22 @@ class TestMatroid:
         code, out, _ = run(capsys, "matroid", "verify", f"{FX}/counterexample_nine.json")
         assert code == 0
         assert "matroid: no" in out and "(1, 4, 9)" in out and "(2, 5, 7)" in out
+
+    def test_verify_matroid(self, capsys):
+        code, out, _ = run(capsys, "matroid", "verify", f"{FX}/paving_five.json")
+        assert code == 0 and out == "matroid: yes\n"
+        code, out, _ = run(capsys, "matroid", "verify", f"{FX}/paving_five.json", "--output", "json")
+        assert code == 0 and out == '{"matroid":true}\n'
+
+    def test_verify_empty_edge_set(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"type":"hypergraph","n":3,"k":2,"edges":[]}')
+        code, out, _ = run(capsys, "matroid", "verify", str(path), "--output", "json")
+        assert code == 0 and out == '{"matroid":false,"violation":"empty"}\n'
+
+    def test_circuits(self, capsys):
+        code, out, _ = run(capsys, "matroid", "circuits", f"{FX}/paving_five.json")
+        assert code == 0 and out == "circuits: [1, 2, 5] [3, 4, 5] [1, 2, 3, 4]\n"
 
     def test_paving(self, capsys):
         code, out, _ = run(capsys, "matroid", "paving", f"{FX}/paving_five.json")
@@ -246,6 +278,12 @@ class TestEnumerate:
     def test_small_corpus_with_checks(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4", "--k", "2", "--check", "theorems")
         assert code == 0 and "total=64" in out and "violations: none" in out
+
+    def test_violation_exits_internal(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r: False)
+        code, out, err = run(capsys, "enumerate", "--n", "4", "--k", "2", "--check", "theorems")
+        assert code == 70 and "VIOLATION [monotone]" in out
+        assert err == "theorem violation found; this is a bug in the build\n"
 
     def test_class_graphs_requires_k2(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "5", "--k", "3", "--class", "graphs")

@@ -252,6 +252,20 @@ def _golden_random_corpus():
     return corpus
 
 
+def _fm_random_corpus():
+    """Fixed seeded corpus of 150 instances with n = 6 and k in {2, 3, 4}:
+    per k, 50 instances whose k-sets are edges with a probability drawn
+    uniformly per instance, so both outcomes occur."""
+    rng = random.Random(20220616)
+    corpus = []
+    for k in (2, 3, 4):
+        ksets = list(combinations(range(1, 7), k))
+        for _ in range(50):
+            p = rng.random()
+            corpus.append(Hypergraph(6, k, frozenset(g for g in ksets if rng.random() < p)))
+    return corpus
+
+
 def _certificate_digest(instances, decider=decide) -> str:
     digest = hashlib.sha256()
     for h in instances:
@@ -284,4 +298,10 @@ class TestGoldenCertificates:
         instances = (h for n in range(2, 6) for k in range(1, n) for h in enumerate_hypergraphs(n, k))
         assert _certificate_digest(instances, decide_fm) == (
             "7083ca4934337d4b8a1b0545fc8d681fc64d524f3b9fb89763cd330f546ac536"
+        )
+
+    def test_fm_seeded_random(self):
+        # recorded from the Fraction-row elimination
+        assert _certificate_digest(_fm_random_corpus(), decide_fm) == (
+            "0d4a7550487cf4c851806b9d65cd8b9514e6063a6dfab22e0c5d2f6102021a7d"
         )
