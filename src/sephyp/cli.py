@@ -22,6 +22,7 @@ on each Fourier-Motzkin stage once it is built:
     analyze --monotone, --summable          pairs and lookups     4000000
     matroid circuits, matroid binary        ground subsets, 2^n   2^22
     search-cert                             support combinations  5000000
+    matroid loops, analyze --orderable      vertices, n           1000000
     decide --method fm                      vertices              6
     decide --method fm                      rows of one stage     200000
 """
@@ -223,7 +224,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lines_out.append(f"{args.monotone}-monotone: {'yes' if result else 'no'}")
         obj["monotone"] = {"r": args.monotone, "value": result}
     if args.orderable:
-        ordering = graph_orderable(h)  # NotAGraph -> exit 66
+        ordering = graph_orderable(h, args.budget)  # NotAGraph -> exit 66
         lines_out.append(f"orderable: {'yes' if ordering else 'no'}"
                          + (f" (order={list(ordering.order)} tags={list(ordering.tags)})" if ordering else ""))
         obj["orderable"] = (
@@ -276,7 +277,7 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
         _emit(args, [f"circuits: {' '.join(str(list(c)) for c in circ)}"],
               {"circuits": [list(c) for c in circ]})
     elif args.subcommand == "loops":
-        loop_set = sorted(loops(m))
+        loop_set = sorted(loops(m, args.budget))
         _emit(args, [f"loops: {loop_set}"], {"loops": loop_set})
     return EXIT_OK
 

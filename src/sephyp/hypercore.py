@@ -25,6 +25,7 @@ CIRCUIT_GROUND_BUDGET = 2 ** 22  # ground subsets, 2^n, behind matroid.circuits
 CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage
+VERTEX_LIST_BUDGET = 1_000_000  # vertices, n, listed by matroid.loops and graph_orderable
 
 ISOLATED = "isolated"
 DOMINATING = "dominating"
@@ -334,7 +335,7 @@ def is_multipartite(h: Hypergraph, p: Partition) -> bool:
     return all(all(len(set(e) & q) == 1 for q in part_sets) for e in h.edges)
 
 
-def graph_orderable(h: Hypergraph) -> Optional[GraphOrdering]:
+def graph_orderable(h: Hypergraph, budget: Optional[int] = None) -> Optional[GraphOrdering]:
     """Greedy threshold-style ordering of a graph, or None when stuck.
 
     Repeatedly removes a currently isolated vertex (smallest index first) or,
@@ -345,9 +346,11 @@ def graph_orderable(h: Hypergraph) -> Optional[GraphOrdering]:
     Runs in O((n + |E|) log n): deg[v] counts v's remaining neighbours, and
     by_deg[t] is a min-heap holding every remaining vertex of degree t, plus
     stale entries (removed vertices or lower degrees) skipped when popped.
+    The n vertices it orders are gated first (VERTEX_LIST_BUDGET when None).
     """
     if h.k != 2:
         raise NotAGraph(f"orderability is defined for k=2, got k={h.k}")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [h.n], f"ordering {h.n} vertices")
     adj: dict[int, set[int]] = {v: set() for v in range(1, h.n + 1)}
     for a, b in h.edges:
         adj[a].add(b)

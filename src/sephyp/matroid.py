@@ -23,7 +23,7 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import CIRCUIT_GROUND_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
+from .hypercore import CIRCUIT_GROUND_BUDGET, VERTEX_LIST_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
 
 
 def _vertex_mask(kset: Iterable[int]) -> int:
@@ -215,8 +215,10 @@ def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:
     return IndependenceOracle(lambda s: is_independent(m, s))
 
 
-def loops(m: BasisMatroid) -> frozenset[int]:
-    """Vertices contained in no basis."""
+def loops(m: BasisMatroid, budget: Optional[int] = None) -> frozenset[int]:
+    """Vertices contained in no basis; the n vertices it sifts are gated first
+    (VERTEX_LIST_BUDGET when None)."""
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"loops among {m.n} vertices")
     covered: set[int] = set()
     for b in m.base_sets:
         covered |= b

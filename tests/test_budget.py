@@ -2,8 +2,8 @@
 below the work it counts and runs at exactly that work: the k-sets the C(n,k)
 universe holds, the 2^C(n,k) instances an enumeration walks, the 2^n ground
 subsets behind circuits, the pairs the summable-quadruple scan walks, the
-combinations the certificate search walks, and the r-monotone scan's pairs
-and lookups. The capped binomial behind them is checked against math.comb."""
+combinations the certificate search walks, the n vertices loops and
+graph_orderable list, and the r-monotone scan's pairs and lookups. The capped binomial behind them is checked against math.comb."""
 
 from itertools import combinations, product
 from math import comb
@@ -13,8 +13,8 @@ import pytest
 from sephyp.errors import BudgetExceeded
 from sephyp.feasibility import build_system, find_binary_certificate
 from sephyp.harness import enumerate_hypergraphs, run_enumeration
-from sephyp.hypercore import Hypergraph, capped_comb, find_summable_quadruple, is_r_monotone
-from sephyp.matroid import BasisMatroid, Gf2Matrix, Graph, circuits, from_gf2_matrix, from_graph
+from sephyp.hypercore import Hypergraph, capped_comb, find_summable_quadruple, graph_orderable, is_r_monotone
+from sephyp.matroid import BasisMatroid, Gf2Matrix, Graph, circuits, from_gf2_matrix, from_graph, loops
 from sephyp.oracle_algorithms import build_adversary
 
 K4 = Graph(4, tuple((u, v) for u in range(1, 5) for v in range(u + 1, 5)))
@@ -34,6 +34,8 @@ GATED = {
     "from_graph": (lambda b: from_graph(K4, b), comb(6, 3), f"= {comb(6, 3)} k-sets"),
     "build_adversary": (lambda b: build_adversary(2, b), comb(4, 2), f"= {comb(4, 2)} k-sets"),
     "circuits": (lambda b: circuits(U24, b), 2 ** 4, r"^circuit scan of 2\^4 ground subsets"),
+    "loops": (lambda b: loops(U24, b), 4, r"^loops among 4 vertices"),
+    "graph_orderable": (lambda b: graph_orderable(SMALL, b), 5, r"^ordering 5 vertices"),
     "find_summable_quadruple": (lambda b: find_summable_quadruple(SMALL, b), comb(7, 2) + comb(3, 2),
                                 r"^summable-quadruple scan of 3 edges and 7 non-edges"),
     # support sizes 2t for t <= min(6, 3 edges, 7 non-edges) only

@@ -434,6 +434,15 @@ class TestLargeInstance:
         done = self.cli("analyze", str(inst), "--orderable")
         assert (done.returncode, done.stdout) == (0, b"orderable: no\n")
 
+    @pytest.mark.parametrize("argv", [["matroid", "loops"], ["analyze", "--orderable"]], ids=" ".join)
+    def test_vertex_list_of_a_billion_vertices_refused(self, tmp_path, argv):
+        # every unnamed vertex is a loop, and an ordering names every vertex,
+        # so each answer would list about n vertices
+        inst = tmp_path / "billion.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 10 ** 9, "k": 2, "edges": [[1, 2]]}))
+        done = self.cli(*argv, str(inst))
+        assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: ")
+
     def test_certificate_search_bounded_by_its_input(self, tmp_path):
         # one edge admits support 2 only, so asking for more costs nothing more
         one = tmp_path / "one.json"

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from sephyp import harness
 from sephyp.errors import BudgetExceeded, RankZero
 from sephyp.harness import ALL_CHECKS, CLASSES, MaskTables, canonical_partition, enumerate_hypergraphs, run_enumeration
 from sephyp.jsonio import dumps
@@ -102,6 +103,16 @@ class TestMaskTables:
             outcomes.add((matroid, check_paving(tables, mask, matroid)))
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
+    def test_generated_matroid_totals(self):
+        # OEIS A058673, matroids on n labelled points, summed over ranks 0..n
+        totals = [sum(sum(1 for _ in MaskTables(n, k).matroid_masks()) for k in range(n + 1)) for n in range(7)]
+        assert totals == [1, 2, 5, 16, 68, 406, 3807]
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (6, 2), (6, 4)])
+    def test_generated_matroids_match_filter(self, n, k):
+        tables = MaskTables(n, k)
+        assert list(tables.matroid_masks()) == [m for m in range(1 << tables.m) if tables.is_matroid_mask(m)]
+
     def test_hypergraph_matches_enumeration_order(self):
         tables = MaskTables(4, 2)
         for mask, h in enumerate(enumerate_hypergraphs(4, 2)):
@@ -185,3 +196,22 @@ class TestRunEnumeration:
                     if klass != "graphs" or k == 2:
                         digest.update(dumps(run_enumeration(n, k, klass, ALL_CHECKS).as_obj()).encode())
         assert digest.hexdigest() == "0ddbac199e1c4555a6c57fa16da7ddf2e44f92d675fa310faab3efc45d487843"
+
+    def test_golden_reports_six(self):
+        # the generated classes on n = 6, recorded while they were still
+        # filtered out of all 2^C(6,k) masks
+        digest = hashlib.sha256()
+        for klass in ("matroids", "paving", "binary"):
+            for k in (2, 3, 4):
+                digest.update(dumps(run_enumeration(6, k, klass).as_obj()).encode())
+        assert digest.hexdigest() == "965812646b156b65e7f4e18649b519b2c65544e336b064f8ec419d691d7dadbd"
+
+    def test_golden_violation_order_six(self, monkeypatch):
+        # a wrong 2-monotone answer flags every one of the 2053 3-matroids on
+        # six elements, so the digest pins the order they are visited in
+        right = harness.is_r_monotone
+        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r: not right(h, r))
+        report = run_enumeration(6, 3, "matroids", {"monotone"})
+        assert len(report.violations) == 2053
+        digest = hashlib.sha256(dumps(report.as_obj()).encode()).hexdigest()
+        assert digest == "2beec4afa6a6be16d63d1e63734b6cb98a2a543a0e2164e353962e86241afa46"
