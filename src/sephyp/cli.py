@@ -20,6 +20,7 @@ on each Fourier-Motzkin stage once it is built:
     any building the C(n,k) k-set universe  k-sets                200000
     enumerate                               instances, 2^C(n,k)   2^24
     analyze --monotone, --summable          pairs and lookups     4000000
+    analyze --exchangeable                  edge pairs times k^2  4000000
     matroid circuits, matroid binary        ground subsets, 2^n   2^22
     search-cert                             support combinations  5000000
     matroid loops, analyze --orderable      vertices, n           1000000
@@ -206,7 +207,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lines_out: list[str] = []
     obj: dict = {}
     if args.exchangeable:
-        w = is_exchangeable(h)
+        w = is_exchangeable(h, args.budget)
         lines_out.append(f"exchangeable: {'yes' if w else 'no'}"
                          + (f" (e1={w.e1} e2={w.e2} v1={w.v1} v2={w.v2})" if w else ""))
         obj["exchangeable"] = (

@@ -360,12 +360,13 @@ def find_binary_certificate(
     equally many edges and non-edges, so odd sizes are skipped and each even
     size 2t is searched by matching vertex-count vectors of t-subsets of
     edges against t-subsets of non-edges, for t up to the smaller count. The
-    combinations walked are gated first (CERT_SEARCH_BUDGET when budget is None).
+    k-set universe behind the non-edges, then the combinations walked, are
+    gated first (KSET_BUDGET and CERT_SEARCH_BUDGET when budget is None).
     """
     if max_support < 1:
         raise Inapplicable(f"max_support must be positive, got {max_support}")
     edges = h.sorted_edges()
-    non = h.non_edges()
+    non = h.non_edges(budget)
     sizes = range(1, min(max_support // 2, len(edges), len(non)) + 1)
     check_budget(budget, CERT_SEARCH_BUDGET,
                  lambda cap: (capped_comb(len(edges), t, cap) + capped_comb(len(non), t, cap) for t in sizes),

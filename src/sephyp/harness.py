@@ -31,6 +31,8 @@ from .feasibility import decide, verify_equatable
 from .hypercore import (
     ENUMERATION_BUDGET,
     Hypergraph,
+    _mask_kset,
+    _vertex_mask,
     all_ksets,
     capped_comb,
     check_budget,
@@ -43,10 +45,9 @@ from .hypercore import (
 )
 from .matroid import (
     BasisMatroid,
+    _circuit_masks,
     _mask_exchange_violation,
     _mask_is_paving,
-    _vertex_mask,
-    circuits,
     delete,
     is_binary,
     lines,
@@ -168,12 +169,7 @@ def enumerate_hypergraphs(n: int, k: int, budget: Optional[int] = None) -> Itera
 
 def _at_bits(items: Sequence, mask: int) -> list:
     """The items at the set bits of mask, in ascending bit order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(items[low.bit_length() - 1])
-        mask ^= low
-    return out
+    return [items[i] for i in _mask_kset(mask)]
 
 
 def canonical_partition(n: int, k: int) -> list[tuple[int, ...]]:
@@ -192,16 +188,23 @@ def _multipartite_masks(tables: MaskTables) -> Iterator[int]:
 
 
 def _check_circuit_elimination(m: BasisMatroid) -> Optional[str]:
-    circ = [frozenset(c) for c in circuits(m)]
+    """The first circuit pair, shared v and u in the first only (ascending)
+    with no circuit through u inside the union less v, as text; or None."""
+    circ = _circuit_masks(m)
     for c1 in circ:
         for c2 in circ:
             if c1 == c2:
                 continue
-            for v in c1 & c2:
-                for u in c1 - c2:
-                    pool = (c1 | c2) - {v}
-                    if not any(u in c and c <= pool for c in circ):
-                        return f"no circuit with {u} inside {sorted(pool)}"
+            for v in _mask_kset(c1 & c2):
+                pool = (c1 | c2) ^ 1 << v
+                covered = 0
+                for c in circ:
+                    if c & pool == c:
+                        covered |= c
+                missing = c1 & ~c2 & ~covered
+                if missing:
+                    u = (missing & -missing).bit_length() - 1
+                    return f"no circuit with {u} inside {list(_mask_kset(pool))}"
     return None
 
 
@@ -284,10 +287,8 @@ def run_enumeration(
             if comp_kind != cert.kind or dual_cert.kind != cert.kind:
                 violate("transforms", f"kinds differ: {cert.kind}/{comp_kind}/{dual_cert.kind}")
             if cert.kind == "equatable":
-                universe = set(range(1, n + 1))
-                transported = {
-                    tuple(sorted(universe - set(g))): val for g, val in cert.y
-                }
+                universe = _vertex_mask(range(1, n + 1))
+                transported = {_mask_kset(universe ^ _vertex_mask(g)): val for g, val in cert.y}
                 if not verify_equatable(dual_h, transported):
                     violate("transforms", "transported dual labeling fails verification")
             if not (witness is None) == (is_exchangeable(comp) is None) == (is_exchangeable(dual_h) is None):

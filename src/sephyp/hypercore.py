@@ -4,6 +4,10 @@ Vertices are the integers 1..n. An edge (KSet) is a strictly increasing
 k-tuple of vertices. All operations are pure functions over immutable
 values, and every search runs in lexicographic order so that returned
 witnesses are stable across runs.
+
+Scans run on vertex masks, ints with bit v set for each vertex v
+(_vertex_mask); KSet tuples appear only at the API boundary, in arguments
+and return values. Masks are walked in ascending bit, that is vertex, order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ KSet = tuple[int, ...]
 # Default caps, each in the unit its operation counts (see check_budget).
 KSET_BUDGET = 200_000  # k-sets built by all_ksets
 ENUMERATION_BUDGET = 2 ** 24  # instances, 2^C(n,k), of harness.MaskTables
-PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of is_r_monotone and find_summable_quadruple
+PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of is_r_monotone, find_summable_quadruple, is_exchangeable
 CIRCUIT_GROUND_BUDGET = 2 ** 22  # ground subsets, 2^n, behind matroid.circuits
 CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
@@ -54,6 +58,25 @@ def check_budget(budget: Optional[int], default: int, work: Callable[[int], Iter
     count = next((total for total in accumulate(work(cap), initial=0) if total > cap), None)
     if count is not None:
         raise BudgetExceeded(f"{what.format(count=count)} exceeds budget {cap}")
+
+
+def _vertex_mask(kset: Iterable[int]) -> int:
+    """A vertex set as an int with bit v set for each vertex v."""
+    mask = 0
+    for v in kset:
+        mask |= 1 << v
+    return mask
+
+
+def _mask_kset(mask: int) -> KSet:
+    """The positions of the set bits of mask, ascending: the vertices of a
+    vertex mask. The one walk over the bits of a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def canonical_kset(elements: Iterable[int], n: int, k: int) -> KSet:
@@ -118,9 +141,9 @@ class Hypergraph:
     def sorted_edges(self) -> list[KSet]:
         return sorted(self.edges)
 
-    def non_edges(self) -> list[KSet]:
-        """All k-subsets of [1, n] not in the edge set, lexicographic."""
-        return [g for g in all_ksets(self.n, self.k) if g not in self.edges]
+    def non_edges(self, budget: Optional[int] = None) -> list[KSet]:
+        """All k-subsets of [1, n] not in the edge set, lexicographic, gated by all_ksets."""
+        return [g for g in all_ksets(self.n, self.k, budget) if g not in self.edges]
 
 
 @dataclass(frozen=True)
@@ -229,25 +252,23 @@ def dual(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.n, h.n - h.k, frozenset(tuple(sorted(v - set(e))) for e in h.edges))
 
 
-def is_exchangeable(h: Hypergraph) -> Optional[ExchangeWitness]:
-    """First exchange witness in lexicographic (e1, e2, v1, v2) order, or None."""
+def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[ExchangeWitness]:
+    """First exchange witness in lexicographic (e1, e2, v1, v2) order, or None.
+    The |E|^2 ordered edge pairs times k^2 swaps are gated first
+    (PAIR_SCAN_BUDGET when budget is None)."""
     edges = h.sorted_edges()
-    for e1 in edges:
-        s1 = set(e1)
-        for e2 in edges:
-            if e1 == e2:
-                continue
-            s2 = set(e2)
-            only1 = sorted(s1 - s2)
-            only2 = sorted(s2 - s1)
-            for v1 in only1:
-                base1 = s1 - {v1}
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(edges) ** 2 * h.k ** 2],
+                 f"exchange scan of {len(edges)} edges")
+    masks = [_vertex_mask(e) for e in edges]
+    present = set(masks)
+    for i, s1 in enumerate(masks):
+        for j, s2 in enumerate(masks):
+            only2 = _mask_kset(s2 & ~s1)
+            for v1 in _mask_kset(s1 & ~s2):
+                base1, base2 = s1 ^ 1 << v1, s2 | 1 << v1
                 for v2 in only2:
-                    if tuple(sorted(base1 | {v2})) in h.edges:
-                        continue
-                    if tuple(sorted((s2 - {v2}) | {v1})) in h.edges:
-                        continue
-                    return ExchangeWitness(e1, e2, v1, v2)
+                    if (base1 | 1 << v2) not in present and (base2 ^ 1 << v2) not in present:
+                        return ExchangeWitness(edges[i], edges[j], v1, v2)
     return None
 
 
@@ -256,38 +277,40 @@ def find_summable_quadruple(h: Hypergraph, budget: Optional[int] = None) -> Opti
 
     Search order is lexicographic over edge pairs, then non-edge pairs; the
     non-edge pairs are pre-indexed by their (intersection, union) signature,
-    which returns the same first match as the naive nested scan. The pairs
-    walked are gated first (PAIR_SCAN_BUDGET when budget is None).
+    which returns the same first match as the naive nested scan. The k-set
+    universe behind the non-edges, then the pairs walked, are gated first
+    (KSET_BUDGET and PAIR_SCAN_BUDGET when budget is None).
     """
     edges = h.sorted_edges()
-    non = h.non_edges()
+    non = h.non_edges(budget)
     check_budget(budget, PAIR_SCAN_BUDGET,
                  lambda cap: [capped_comb(len(non), 2, cap), capped_comb(len(edges), 2, cap)],
                  f"summable-quadruple scan of {len(edges)} edges and {len(non)} non-edges")
-    first_pair: dict[tuple[KSet, KSet], tuple[KSet, KSet]] = {}
-    for f1, f2 in combinations(non, 2):
-        sig = (tuple(sorted(set(f1) & set(f2))), tuple(sorted(set(f1) | set(f2))))
-        if sig not in first_pair:
-            first_pair[sig] = (f1, f2)
-    for e1, e2 in combinations(edges, 2):
-        sig = (tuple(sorted(set(e1) & set(e2))), tuple(sorted(set(e1) | set(e2))))
-        hit = first_pair.get(sig)
+    non_masks = [_vertex_mask(g) for g in non]
+    first_pair: dict[tuple[int, int], tuple[int, int]] = {}  # signature -> first non-edge index pair
+    for pair in combinations(range(len(non)), 2):
+        a, b = non_masks[pair[0]], non_masks[pair[1]]
+        first_pair.setdefault((a & b, a | b), pair)
+    masks = [_vertex_mask(e) for e in edges]
+    for i, j in combinations(range(len(edges)), 2):
+        hit = first_pair.get((masks[i] & masks[j], masks[i] | masks[j]))
         if hit is not None:
-            return SummableQuadruple(e1, e2, hit[0], hit[1])
+            return SummableQuadruple(edges[i], edges[j], non[hit[0]], non[hit[1]])
     return None
 
 
-def _comparable(h: Hypergraph, r1: KSet, r2: KSet) -> bool:
-    """R1 <= R2 or R2 <= R1 in the edge-implication order, by full enumeration."""
-    rest = sorted(set(range(1, h.n + 1)) - set(r1) - set(r2))
-    ssize = h.k - len(r1)
+def _comparable(present: set[int], vertices: list[int], k: int, r1: int, r2: int) -> bool:
+    """Vertex masks r1 <= r2 or r2 <= r1 in the edge-implication order of the
+    edge masks present, by full enumeration of the k-sets S + r1 and S + r2
+    for S among the vertex bits outside r1 and r2."""
+    rest = [b for b in vertices if not b & (r1 | r2)]
+    ssize = k - r1.bit_count()
     if ssize < 0 or ssize > len(rest):
         return True
     le12 = le21 = True
-    set1, set2 = set(r1), set(r2)
-    for s in combinations(rest, ssize):
-        in1 = tuple(sorted(set(s) | set1)) in h.edges
-        in2 = tuple(sorted(set(s) | set2)) in h.edges
+    for c in combinations(rest, ssize):
+        s = sum(c)
+        in1, in2 = (s | r1) in present, (s | r2) in present
         if in1 and not in2:
             le12 = False
         if in2 and not in1:
@@ -315,13 +338,13 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
                        * capped_comb(s, 2 * s - u, cap) * capped_comb(n - u, k - s, cap))
 
     check_budget(budget, PAIR_SCAN_BUDGET, work, f"{r}-monotone scan on n={n}, k={k}")
-    verts = range(1, h.n + 1)
+    present = {_vertex_mask(e) for e in h.edges}
+    vertices = [1 << v for v in range(1, n + 1)]
     for size in range(1, r + 1):
-        for r1 in combinations(verts, size):
-            for r2 in combinations(verts, size):
-                if r1 == r2 or len(set(r1) | set(r2)) > r:
-                    continue
-                if not _comparable(h, r1, r2):
+        subsets = [sum(c) for c in combinations(vertices, size)]
+        for r1 in subsets:
+            for r2 in subsets:
+                if r1 != r2 and (r1 | r2).bit_count() <= r and not _comparable(present, vertices, k, r1, r2):
                     return False
     return True
 

@@ -10,8 +10,9 @@ with a deterministic cache and an ordered trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -23,15 +24,8 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import CIRCUIT_GROUND_BUDGET, VERTEX_LIST_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
-
-
-def _vertex_mask(kset: Iterable[int]) -> int:
-    """A vertex set as an int with bit v set for each vertex v."""
-    mask = 0
-    for v in kset:
-        mask |= 1 << v
-    return mask
+from .hypercore import (CIRCUIT_GROUND_BUDGET, VERTEX_LIST_BUDGET, Hypergraph, KSet, _mask_kset, _vertex_mask,
+                        all_ksets, capped_comb, check_budget)
 
 
 def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
@@ -60,17 +54,11 @@ def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _mask_is_paving(sets: list[int], n: int, k: int) -> bool:
+def _mask_is_paving(sets: Iterable[int], n: int, k: int) -> bool:
     """Whether the (k-1)-subsets of the k-sets in sets (vertex masks) are all
     C(n, k-1) of them. Takes O(len(sets) * k) set operations.
     """
-    covered = set()
-    for s in sets:
-        rest = s
-        while rest:
-            b = rest & -rest
-            covered.add(s ^ b)
-            rest ^= b
+    covered = {s ^ 1 << v for s in sets for v in _mask_kset(s)}
     return len(covered) == capped_comb(n, k - 1, len(covered))
 
 
@@ -108,8 +96,13 @@ class BasisMatroid:
         return self.carrier.k
 
     @cached_property
-    def base_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(e) for e in self.carrier.sorted_edges())
+    def base_masks(self) -> tuple[int, ...]:
+        return tuple(_vertex_mask(e) for e in self.carrier.sorted_edges())
+
+    @cached_property
+    def _circuits(self) -> tuple[int, ...]:
+        """Every circuit as a vertex mask, found once; read through the gate in _circuit_masks."""
+        return tuple(_circuits_within(self, _vertex_mask(range(1, self.n + 1))))
 
 
 @dataclass(frozen=True)
@@ -147,14 +140,7 @@ class Gf2Matrix:
 
     def column_masks(self) -> list[int]:
         """Each column as an integer with bit r set when bits[r][col] is 1."""
-        masks = []
-        for c in range(self.cols):
-            m = 0
-            for r in range(self.rows):
-                if self.bits[r][c]:
-                    m |= 1 << r
-            masks.append(m)
-        return masks
+        return [sum(1 << r for r in range(self.rows) if self.bits[r][c]) for c in range(self.cols)]
 
 
 @dataclass(frozen=True)
@@ -203,12 +189,15 @@ class IndependenceOracle:
         return len(self.trace)
 
 
+def _independent(m: BasisMatroid, mask: int) -> bool:
+    """Whether the vertex mask is contained in some basis mask."""
+    return mask.bit_count() <= m.k and any(mask & b == mask for b in m.base_masks)
+
+
 def is_independent(m: BasisMatroid, s: Iterable[int]) -> bool:
-    """Whether s is contained in some basis."""
-    sub = frozenset(s)
-    if len(sub) > m.k:
-        return False
-    return any(sub <= b for b in m.base_sets)
+    """Whether s is contained in some basis; a vertex outside 1..n is in none."""
+    vertices = tuple(s)
+    return all(1 <= v <= m.n for v in vertices) and _independent(m, _vertex_mask(vertices))
 
 
 def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:
@@ -219,71 +208,71 @@ def loops(m: BasisMatroid, budget: Optional[int] = None) -> frozenset[int]:
     """Vertices contained in no basis; the n vertices it sifts are gated first
     (VERTEX_LIST_BUDGET when None)."""
     check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"loops among {m.n} vertices")
-    covered: set[int] = set()
-    for b in m.base_sets:
-        covered |= b
-    return frozenset(range(1, m.n + 1)) - covered
+    covered = reduce(or_, m.base_masks)
+    return frozenset(v for v in range(1, m.n + 1) if not covered >> v & 1)
 
 
 def coloops(m: BasisMatroid) -> frozenset[int]:
     """Vertices contained in every basis."""
-    common = set(m.base_sets[0])
-    for b in m.base_sets[1:]:
-        common &= b
-    return frozenset(common)
+    return frozenset(_mask_kset(reduce(and_, m.base_masks)))
 
 
-def _minor(m: BasisMatroid, v: int, new_k: int, kept: Iterable[frozenset[int]], what: str
-           ) -> tuple[BasisMatroid, dict[int, int]]:
-    """The minor on the bases kept, its ground set renumbered densely (indices
-    above v shift down), and the old-to-new vertex mapping."""
+def _minor(m: BasisMatroid, v: int, through: bool, what: str) -> tuple[BasisMatroid, dict[int, int]]:
+    """The minor of rank k - through on the bases that contain v (through) or
+    avoid it, less v, its ground set renumbered densely (indices above v
+    shift down), and the old-to-new vertex mapping."""
     if not 1 <= v <= m.n:
         raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
+    new_k = m.k - through
     if new_k < 1 or new_k >= m.n - 1:
         raise RankCollapse(f"{what} leaves k={new_k} on {m.n - 1} vertices")
+    low = (1 << v) - 1
+    kept = (b for b in m.base_masks if (b >> v & 1) == through)
+    renamed = frozenset(_mask_kset((b & low) | (b >> 1 & ~low)) for b in kept)
     mapping = {w: (w if w < v else w - 1) for w in range(1, m.n + 1) if w != v}
-    renamed = frozenset(tuple(sorted(mapping[w] for w in e)) for e in kept)
     return BasisMatroid(Hypergraph(m.n - 1, new_k, renamed)), mapping
 
 
 def delete(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
     """Deletion minor and the old-to-new vertex mapping; drops rank by one
-    exactly when v is a coloop. The ground set is renumbered densely: indices
-    above v shift down."""
-    if v in coloops(m):  # coloop: deletion equals contraction
-        return _minor(m, v, m.k - 1, [b - {v} for b in m.base_sets], "deletion")
-    return _minor(m, v, m.k, [b for b in m.base_sets if v not in b], "deletion")
+    exactly when v is a coloop, whose deletion equals its contraction. The
+    ground set is renumbered densely: indices above v shift down."""
+    return _minor(m, v, v in coloops(m), "deletion")
 
 
 def contract(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
     """Contraction minor and its vertex mapping, renumbered as in delete;
-    keeps rank exactly when v is a loop."""
-    if v in loops(m):  # loop: contraction equals deletion, bases untouched
-        return _minor(m, v, m.k, m.base_sets, "contraction")
-    return _minor(m, v, m.k - 1, [b - {v} for b in m.base_sets if v in b], "contraction")
+    keeps rank exactly when v is a loop, whose contraction equals its
+    deletion."""
+    return _minor(m, v, v not in loops(m), "contraction")
 
 
-def _circuits_within(m: BasisMatroid, ground: Iterable[int]) -> list[KSet]:
-    """All circuits inside the given vertex pool, ascending by size then lex."""
-    pool = sorted(ground)
-    found: list[KSet] = []
-    found_sets: list[frozenset[int]] = []
+def _circuits_within(m: BasisMatroid, ground: int) -> list[int]:
+    """All circuits inside the vertex mask ground, as vertex masks, ascending
+    by size then lex."""
+    pool = [1 << v for v in _mask_kset(ground)]
+    found: list[int] = []
     for size in range(1, min(len(pool), m.k + 1) + 1):
         for cand in combinations(pool, size):
-            cset = frozenset(cand)
-            if any(c <= cset for c in found_sets):
+            c = sum(cand)
+            if any(f & c == f for f in found):
                 continue  # contains a smaller circuit, not minimal
-            if not is_independent(m, cset):
-                found.append(cand)
-                found_sets.append(cset)
+            if not _independent(m, c):
+                found.append(c)
     return found
 
 
-def circuits(m: BasisMatroid, budget: Optional[int] = None) -> tuple[KSet, ...]:
-    """All circuits; none exceeds k+1 elements in a rank-k matroid."""
+def _circuit_masks(m: BasisMatroid, budget: Optional[int] = None) -> tuple[int, ...]:
+    """All circuits as vertex masks, in the order of circuits."""
     check_budget(budget, CIRCUIT_GROUND_BUDGET, lambda cap: [1 << min(m.n, cap.bit_length())],
                  f"circuit scan of 2^{m.n} ground subsets")
-    return tuple(_circuits_within(m, range(1, m.n + 1)))
+    return m._circuits
+
+
+def circuits(m: BasisMatroid, budget: Optional[int] = None) -> tuple[KSet, ...]:
+    """All circuits, ascending by size then lex (none exceeds k+1 elements); the
+    2^n ground subsets are gated first (CIRCUIT_GROUND_BUDGET when budget is None)."""
+    return tuple(map(_mask_kset, _circuit_masks(m, budget)))
 
 
 def fundamental_circuit(m: BasisMatroid, e: KSet, v: int) -> Circuit:
@@ -292,37 +281,35 @@ def fundamental_circuit(m: BasisMatroid, e: KSet, v: int) -> Circuit:
         raise PreconditionViolated(f"{e} is not a basis")
     if v in e:
         raise PreconditionViolated(f"{v} already in {e}")
-    inside = _circuits_within(m, set(e) | {v})
+    if not 1 <= v <= m.n:
+        raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
+    inside = _circuits_within(m, _vertex_mask(e) | 1 << v)
     if len(inside) != 1:
         raise NotAMatroid(f"{len(inside)} circuits inside {tuple(sorted(e))} + {v}, expected 1")
-    return Circuit(inside[0])
+    return Circuit(_mask_kset(inside[0]))
 
 
 def is_paving(m: BasisMatroid) -> bool:
     """Whether every (k-1)-subset of the ground set is independent."""
-    return _mask_is_paving([_vertex_mask(b) for b in m.carrier.edges], m.n, m.k)
+    return _mask_is_paving(m.base_masks, m.n, m.k)
 
 
-def _peel_into_circuits(remainder: frozenset[int], circuit_sets: list[frozenset[int]]) -> bool:
-    """Exhaustive backtracking partition of remainder into disjoint circuits."""
+def _peel_into_circuits(remainder: int, circuit_masks: tuple[int, ...]) -> bool:
+    """Exhaustive backtracking partition of the vertex mask remainder into disjoint circuits."""
     if not remainder:
         return True
-    anchor = min(remainder)
-    for c in circuit_sets:
-        if anchor in c and c <= remainder:
-            if _peel_into_circuits(remainder - c, circuit_sets):
+    anchor = remainder & -remainder
+    for c in circuit_masks:
+        if c & anchor and c & remainder == c:
+            if _peel_into_circuits(remainder ^ c, circuit_masks):
                 return True
     return False
 
 
 def is_binary(m: BasisMatroid, budget: Optional[int] = None) -> bool:
     """Whether every symmetric difference of two circuits splits into circuits."""
-    circ = circuits(m, budget)
-    circ_sets = [frozenset(c) for c in circ]
-    for c1, c2 in combinations(circ_sets, 2):
-        if not _peel_into_circuits(c1 ^ c2, circ_sets):
-            return False
-    return True
+    circ = _circuit_masks(m, budget)
+    return all(_peel_into_circuits(c1 ^ c2, circ) for c1, c2 in combinations(circ, 2))
 
 
 def _lines_from_dependence(elements: list[int], dependent: Callable[[int, int], bool]) -> list[KSet]:
@@ -330,13 +317,11 @@ def _lines_from_dependence(elements: list[int], dependent: Callable[[int, int], 
     the dependence relation is not transitive on this instance."""
     lines: list[list[int]] = []
     for v in elements:
-        placed = False
         for line in lines:
             if dependent(line[0], v):
                 line.append(v)
-                placed = True
                 break
-        if not placed:
+        else:
             lines.append([v])
     for line in lines:
         for u, v in combinations(line, 2):
@@ -355,7 +340,7 @@ def lines(m: BasisMatroid) -> LineDecomposition:
     lp = loops(m)
     if lp:
         raise HasLoops(f"matroid has loops {sorted(lp)}")
-    dep = lambda u, v: not is_independent(m, (u, v))
+    dep = lambda u, v: not _independent(m, 1 << u | 1 << v)
     parts = _lines_from_dependence(list(range(1, m.n + 1)), dep)
     return LineDecomposition(tuple(parts), sum(1 for p in parts if len(p) >= 2))
 

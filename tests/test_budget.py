@@ -2,8 +2,9 @@
 below the work it counts and runs at exactly that work: the k-sets the C(n,k)
 universe holds, the 2^C(n,k) instances an enumeration walks, the 2^n ground
 subsets behind circuits, the pairs the summable-quadruple scan walks, the
-combinations the certificate search walks, the n vertices loops and
-graph_orderable list, and the r-monotone scan's pairs and lookups. The capped binomial behind them is checked against math.comb."""
+edge pairs times swaps of the exchange scan, the combinations the
+certificate search walks, the n vertices loops and graph_orderable list, and
+the r-monotone scan's pairs and lookups. The capped binomial behind them is checked against math.comb."""
 
 from itertools import combinations, product
 from math import comb
@@ -13,7 +14,14 @@ import pytest
 from sephyp.errors import BudgetExceeded
 from sephyp.feasibility import build_system, find_binary_certificate
 from sephyp.harness import enumerate_hypergraphs, run_enumeration
-from sephyp.hypercore import Hypergraph, capped_comb, find_summable_quadruple, graph_orderable, is_r_monotone
+from sephyp.hypercore import (
+    Hypergraph,
+    capped_comb,
+    find_summable_quadruple,
+    graph_orderable,
+    is_exchangeable,
+    is_r_monotone,
+)
 from sephyp.matroid import BasisMatroid, Gf2Matrix, Graph, circuits, from_gf2_matrix, from_graph, loops
 from sephyp.oracle_algorithms import build_adversary
 
@@ -38,6 +46,8 @@ GATED = {
     "graph_orderable": (lambda b: graph_orderable(SMALL, b), 5, r"^ordering 5 vertices"),
     "find_summable_quadruple": (lambda b: find_summable_quadruple(SMALL, b), comb(7, 2) + comb(3, 2),
                                 r"^summable-quadruple scan of 3 edges and 7 non-edges"),
+    # ordered edge pairs, the equal ones included, times k^2 swaps
+    "is_exchangeable": (lambda b: is_exchangeable(SMALL, b), 3 ** 2 * 2 ** 2, r"^exchange scan of 3 edges"),
     # support sizes 2t for t <= min(6, 3 edges, 7 non-edges) only
     "find_binary_certificate": (lambda b: find_binary_certificate(SMALL, 12, b),
                                 sum(comb(3, t) + comb(7, t) for t in range(1, 4)),
@@ -51,6 +61,19 @@ def test_gate_boundary(name):
     with pytest.raises(BudgetExceeded, match=rf"{message} exceeds budget {work - 1}$"):
         operation(work - 1)
     operation(work)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda h, b: h.non_edges(b),
+    lambda h, b: find_summable_quadruple(h, b),
+    lambda h, b: find_binary_certificate(h, 4, b),
+], ids=["non_edges", "find_summable_quadruple", "find_binary_certificate"])
+def test_non_edges_gated_at_the_callers_budget(operation):
+    # C(21,9) = 293930 k-sets: past 250000, the budget the caller passes,
+    # which the k-set gate behind the non-edges must be held to
+    h = Hypergraph(21, 9, frozenset())
+    with pytest.raises(BudgetExceeded, match=r"^C\(21,9\) >= 250001 k-sets exceeds budget 250000$"):
+        operation(h, 250_000)
 
 
 def test_capped_comb_matches_comb():

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -425,6 +426,15 @@ class TestLargeInstance:
                                    "edges": [list(range(1, 11)), list(range(11, 21))]}))
         assert self.cli("analyze", str(one), "--summable").returncode == 65
         assert self.cli("search-cert", str(two), "--max-support", "400000").returncode == 65
+
+    def test_exchange_scan_of_the_complete_hypergraph_refused(self, tmp_path):
+        # 4060 edges: 4060^2 ordered pairs times 3^2 swaps exceed the pair
+        # scan budget, refused before the scan starts
+        inst = tmp_path / "complete.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 30, "k": 3,
+                                    "edges": [list(g) for g in combinations(range(1, 31), 3)]}))
+        done = self.cli("analyze", str(inst), "--exchangeable")
+        assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: exchange scan of 4060 edges")
 
     def test_orderable_of_two_hundred_thousand_vertices(self, tmp_path):
         # each pick pops a degree heap instead of re-sorting the remaining
