@@ -21,6 +21,9 @@ on each Fourier-Motzkin stage once it is built:
     enumerate                               instances, 2^C(n,k)   2^24
     analyze --monotone, --summable          pairs and lookups     4000000
     analyze --exchangeable                  edge pairs times k^2  4000000
+    basis exchange: matroid, adversary,     basis pairs, |B|^2    4000000
+      every gf2 or graph instance
+    matroid lines                           pairs times bases     4000000
     matroid circuits, matroid binary        ground subsets, 2^n   2^22
     search-cert                             support combinations  5000000
     matroid loops, analyze --orderable      vertices, n           1000000
@@ -33,7 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import comb
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -78,7 +81,6 @@ from .matroid import (
     exchange_violation,
     from_gf2_matrix,
     from_graph,
-    gf2_rank,
     is_binary,
     is_paving,
     lines,
@@ -191,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if bad is not None:
             side = "edge" if bad in h.edges else "non-edge"
             detail = f"{side} {''.join(map(str, bad)) if h.n < 10 else bad} violates the sign condition"
-            _emit(args, [f"invalid: {detail}"], {"valid": False, "violation": {"set": list(bad)}})
+            _emit(args, [f"invalid: {detail}"], {"valid": False, "violation": {"set": bad}})
             return EXIT_INVALID_CERT
     else:
         problem = equatable_violation(h, cert.as_dict())
@@ -210,16 +212,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         w = is_exchangeable(h, args.budget)
         lines_out.append(f"exchangeable: {'yes' if w else 'no'}"
                          + (f" (e1={w.e1} e2={w.e2} v1={w.v1} v2={w.v2})" if w else ""))
-        obj["exchangeable"] = (
-            {"e1": list(w.e1), "e2": list(w.e2), "v1": w.v1, "v2": w.v2} if w else None
-        )
+        obj["exchangeable"] = asdict(w) if w else None
     if args.summable:
         q = find_summable_quadruple(h, args.budget)
         lines_out.append(f"summable quadruple: {'yes' if q else 'no'}"
                          + (f" (e1={q.e1} e2={q.e2} f1={q.f1} f2={q.f2})" if q else ""))
-        obj["summable"] = (
-            {"e1": list(q.e1), "e2": list(q.e2), "f1": list(q.f1), "f2": list(q.f2)} if q else None
-        )
+        obj["summable"] = asdict(q) if q else None
     if args.monotone is not None:
         result = is_r_monotone(h, args.monotone, args.budget)
         lines_out.append(f"{args.monotone}-monotone: {'yes' if result else 'no'}")
@@ -228,9 +226,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ordering = graph_orderable(h, args.budget)  # NotAGraph -> exit 66
         lines_out.append(f"orderable: {'yes' if ordering else 'no'}"
                          + (f" (order={list(ordering.order)} tags={list(ordering.tags)})" if ordering else ""))
-        obj["orderable"] = (
-            {"order": list(ordering.order), "tags": list(ordering.tags)} if ordering else None
-        )
+        obj["orderable"] = asdict(ordering) if ordering else None
     if args.multipartite:
         partition = parse_partition(_read(args.multipartite))
         result = is_multipartite(h, partition)  # InvalidPartition -> exit 66
@@ -246,18 +242,18 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
         if not h.edges:
             _emit(args, ["matroid: no (empty edge set)"], {"matroid": False, "violation": "empty"})
             return EXIT_OK
-        bad = exchange_violation(h)
+        bad = exchange_violation(h, args.budget)
         if bad is not None:
             _emit(
                 args,
                 [f"matroid: no (E1={bad[0]} E2={bad[1]} v1={bad[2]} has no exchange)"],
-                {"matroid": False, "violation": {"e1": list(bad[0]), "e2": list(bad[1]), "v1": bad[2]}},
+                {"matroid": False, "violation": dict(zip(("e1", "e2", "v1"), bad))},
             )
             return EXIT_OK
         _emit(args, ["matroid: yes"], {"matroid": True})
         return EXIT_OK
 
-    m = BasisMatroid(h)  # NotAMatroid -> exit 67
+    m = BasisMatroid(h, args.budget)  # NotAMatroid -> exit 67
     if args.subcommand == "paving":
         result = is_paving(m)
         _emit(args, [f"paving: {'yes' if result else 'no'}"], {"paving": result})
@@ -265,18 +261,16 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
         result = is_binary(m, args.budget)
         _emit(args, [f"binary: {'yes' if result else 'no'}"], {"binary": result})
     elif args.subcommand == "lines":
-        decomposition = lines(m)  # HasLoops -> exit 66
+        decomposition = lines(m, args.budget)  # HasLoops -> exit 66
         _emit(
             args,
             [f"lines: {' '.join(str(list(p)) for p in decomposition.lines)}",
              f"nontrivial: {decomposition.nontrivial_count}"],
-            {"lines": [list(p) for p in decomposition.lines],
-             "nontrivial_count": decomposition.nontrivial_count},
+            asdict(decomposition),
         )
     elif args.subcommand == "circuits":
         circ = circuits(m, args.budget)
-        _emit(args, [f"circuits: {' '.join(str(list(c)) for c in circ)}"],
-              {"circuits": [list(c) for c in circ]})
+        _emit(args, [f"circuits: {' '.join(str(list(c)) for c in circ)}"], {"circuits": circ})
     elif args.subcommand == "loops":
         loop_set = sorted(loops(m, args.budget))
         _emit(args, [f"loops: {loop_set}"], {"loops": loop_set})
@@ -288,15 +282,12 @@ def _cmd_oracle_decide(args: argparse.Namespace) -> int:
     if kind == "hypergraph":
         raise Inapplicable("oracle-decide requires a gf2 or graph instance")
     matroid, oracle = _load_matroid(args.path, kind, instance, args.budget)
-    n, k = (matroid.n, matroid.k) if matroid is not None else (instance.cols, gf2_rank(instance.column_masks()))
+    # from_gf2_matrix returns no matroid exactly when the rank equals the column count
+    n, k = (matroid.n, matroid.k) if matroid is not None else (instance.cols, instance.cols)
     oracle.max_queries = args.max_queries
     decision = decide_binary_via_oracle(n, k, oracle)
     lines_out = [f"verdict: {decision.verdict}", f"queries: {decision.queries_used}"]
-    obj = {
-        "verdict": decision.verdict,
-        "queries": decision.queries_used,
-        "trace": [[list(q), a] for q, a in decision.trace],
-    }
+    obj = {"verdict": decision.verdict, "queries": decision.queries_used, "trace": decision.trace}
     if matroid is not None:
         lp_kind = decide(matroid.carrier, args.budget).kind
         agrees = lp_kind == decision.verdict
@@ -309,44 +300,19 @@ def _cmd_oracle_decide(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_obj(report) -> dict:
-    return {
-        "verdict": report.verdict,
-        "queries": report.queries,
-        "trace": [[list(q), a] for q, a in report.trace],
-        "unqueried_pair": [list(report.unqueried_pair[0]), list(report.unqueried_pair[1])]
-        if report.unqueried_pair
-        else None,
-        "kset_queries": [list(q) for q in report.kset_queries],
-        "consistent_with_h2": report.consistent_with_h2,
-        "pairs_total": report.pairs_total,
-        "pairs_touched": report.pairs_touched,
-        "threshold_queries": report.query_threshold,
-        "threshold_pairs": report.pair_threshold,
-        "alternative_kind": report.alternative_kind,
-        "budget_exhausted": report.budget_exhausted,
-    }
-
-
 def _cmd_adversary(args: argparse.Namespace) -> int:
     inst = build_adversary(args.k, args.budget)
     strategies = [("no-queries", strategy_no_queries), ("binary-algorithm", strategy_binary_algorithm)]
     query_budget = args.query_budget if args.query_budget is not None else 4 ** args.k + 100
+    reports = {name: run_indistinguishability_check(inst, strat, query_budget) for name, strat in strategies}
+    first = reports["no-queries"]
     lines_out = [
         f"adversary k={inst.k}: h2 = complete minus {{{inst.f1}, {inst.f2}}}",
-        f"thresholds: queries 2^k-1 = {2 ** inst.k - 1}, pairs C(2k,k)/2 = {comb(2 * inst.k, inst.k) // 2}",
+        f"thresholds: queries 2^k-1 = {first.threshold_queries}, pairs C(2k,k)/2 = {first.threshold_pairs}",
     ]
-    obj: dict = {
-        "k": inst.k,
-        "f1": list(inst.f1),
-        "f2": list(inst.f2),
-        "threshold_queries": 2 ** inst.k - 1,
-        "threshold_pairs": comb(2 * inst.k, inst.k) // 2,
-        "strategies": {},
-    }
-    for name, strat in strategies:
-        report = run_indistinguishability_check(inst, strat, query_budget)
-        obj["strategies"][name] = _report_obj(report)
+    obj = {"k": inst.k, "f1": inst.f1, "f2": inst.f2, "threshold_queries": first.threshold_queries,
+           "threshold_pairs": first.threshold_pairs, "strategies": {name: asdict(r) for name, r in reports.items()}}
+    for name, report in reports.items():
         lines_out.append(
             f"[{name}] verdict={report.verdict} queries={report.queries} "
             f"k-set queries={len(report.kset_queries)} pairs touched={report.pairs_touched}/{report.pairs_total}"
@@ -406,21 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sephyp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", choices=("text", "json"), default="text")
-
     p = sub.add_parser("decide", help="classify an instance as separable or equatable")
     p.add_argument("path")
     p.add_argument("--certificate-out", dest="certificate_out")
     p.add_argument("--method", choices=("lp", "fm"), default="lp")
-    add_output(p)
-    p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("verify", help="check a certificate against an instance")
     p.add_argument("instance")
     p.add_argument("certificate")
-    add_output(p)
-    p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("analyze", help="combinatorial predicates and witnesses")
     p.add_argument("path")
@@ -429,40 +388,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monotone", type=int)
     p.add_argument("--orderable", action="store_true")
     p.add_argument("--multipartite", metavar="PARTITION_JSON")
-    add_output(p)
-    p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("matroid", help="matroid predicates and structures")
     p.add_argument("subcommand", choices=("verify", "paving", "binary", "lines", "circuits", "loops"))
     p.add_argument("path")
-    add_output(p)
-    p.set_defaults(fn=_cmd_matroid)
 
     p = sub.add_parser("oracle-decide", help="query-only separability for binary matroids")
     p.add_argument("path")
     p.add_argument("--max-queries", dest="max_queries", type=int)
-    add_output(p)
-    p.set_defaults(fn=_cmd_oracle_decide)
 
     p = sub.add_parser("adversary", help="paving-matroid lower-bound demonstration")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--query-budget", dest="query_budget", type=int)
-    add_output(p)
-    p.set_defaults(fn=_cmd_adversary)
 
     p = sub.add_parser("enumerate", help="exhaustive corpus counts and law checks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--class", dest="klass", choices=CLASSES, default="all")
     p.add_argument("--check", choices=("theorems",))
-    add_output(p)
-    p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("search-cert", help="search for a small 0/1 equatability certificate")
     p.add_argument("path")
     p.add_argument("--max-support", dest="max_support", type=int)
-    add_output(p)
-    p.set_defaults(fn=_cmd_search_cert)
+
+    for name, p in sub.choices.items():  # --output last, as every usage line shows it
+        p.add_argument("--output", choices=("text", "json"), default="text")
+        p.set_defaults(fn=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -24,7 +24,7 @@ KSet = tuple[int, ...]
 # Default caps, each in the unit its operation counts (see check_budget).
 KSET_BUDGET = 200_000  # k-sets built by all_ksets
 ENUMERATION_BUDGET = 2 ** 24  # instances, 2^C(n,k), of harness.MaskTables
-PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of is_r_monotone, find_summable_quadruple, is_exchangeable
+PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of the law checks, the basis-exchange check and matroid.lines
 CIRCUIT_GROUND_BUDGET = 2 ** 22  # ground subsets, 2^n, behind matroid.circuits
 CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
@@ -322,16 +322,19 @@ def _comparable(present: set[int], vertices: list[int], k: int, r1: int, r2: int
 
 def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
     """Whether all equal-size vertex subsets with union of size <= r are
-    comparable in the edge-implication order."""
+    comparable in the edge-implication order. Two distinct r-sets have a
+    larger union, so the subsets compared have at most r - 1 vertices."""
     if not 1 <= r <= h.n:
         raise FormatError(f"need 1 <= r <= n, got r={r}")
+    if r == 1:
+        return True  # no pair of distinct singletons has a 1-vertex union; skip listing n vertices
     n, k = h.n, h.k
 
     def work(cap: int) -> Iterator[int]:
-        # C(n,s)^2 ordered pairs of s-sets; each pair with union size u <= r
+        # C(n,s)^2 ordered pairs of s-sets, s < r; each pair with union size u <= r
         # costs C(n-u, k-s) k-set lookups in _comparable (none when s > k).
         # A product with a capped factor passes cap unless another factor is 0.
-        for s in range(1, r + 1):
+        for s in range(1, r):
             yield capped_comb(n, s, cap) ** 2
             for u in range(s + 1, min(r, 2 * s) + 1) if s <= k else ():
                 yield (capped_comb(n, u, cap) * capped_comb(u, s, cap)
@@ -340,7 +343,7 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
     check_budget(budget, PAIR_SCAN_BUDGET, work, f"{r}-monotone scan on n={n}, k={k}")
     present = {_vertex_mask(e) for e in h.edges}
     vertices = [1 << v for v in range(1, n + 1)]
-    for size in range(1, r + 1):
+    for size in range(1, r):
         subsets = [sum(c) for c in combinations(vertices, size)]
         for r1 in subsets:
             for r2 in subsets:

@@ -9,7 +9,7 @@ with a deterministic cache and an ordered trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
@@ -24,8 +24,8 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import (CIRCUIT_GROUND_BUDGET, VERTEX_LIST_BUDGET, Hypergraph, KSet, _mask_kset, _vertex_mask,
-                        all_ksets, capped_comb, check_budget)
+from .hypercore import (CIRCUIT_GROUND_BUDGET, PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Hypergraph, KSet, _mask_kset,
+                        _vertex_mask, all_ksets, capped_comb, check_budget)
 
 
 def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
@@ -62,9 +62,11 @@ def _mask_is_paving(sets: Iterable[int], n: int, k: int) -> bool:
     return len(covered) == capped_comb(n, k - 1, len(covered))
 
 
-def exchange_violation(h: Hypergraph) -> Optional[tuple[KSet, KSet, int]]:
-    """Lexicographically first (E1, E2, v1) with no valid exchange, or None."""
+def exchange_violation(h: Hypergraph, budget: Optional[int] = None) -> Optional[tuple[KSet, KSet, int]]:
+    """Lexicographically first (E1, E2, v1) with no valid exchange, or None.
+    The |B|^2 ordered basis pairs are gated first (PAIR_SCAN_BUDGET when None)."""
     edges = h.sorted_edges()
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(edges) ** 2], f"basis exchange scan of {len(edges)} bases")
     bad = _mask_exchange_violation([_vertex_mask(e) for e in edges])
     return None if bad is None else (edges[bad[0]], edges[bad[1]], bad[2])
 
@@ -76,14 +78,16 @@ def is_matroid(h: Hypergraph) -> bool:
 
 @dataclass(frozen=True)
 class BasisMatroid:
-    """A hypergraph whose edges are the bases of a rank-k matroid."""
+    """A hypergraph whose edges are the bases of a rank-k matroid; the
+    exchange check is gated at budget (see exchange_violation)."""
 
     carrier: Hypergraph
+    budget: InitVar[Optional[int]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, budget: Optional[int]) -> None:
         if not self.carrier.edges:
             raise NotAMatroid("matroid requires a nonempty basis set")
-        bad = exchange_violation(self.carrier)
+        bad = exchange_violation(self.carrier, budget)
         if bad is not None:
             raise NotAMatroid(f"basis exchange fails at (E1={bad[0]}, E2={bad[1]}, v1={bad[2]})")
 
@@ -335,11 +339,14 @@ def _lines_from_dependence(elements: list[int], dependent: Callable[[int, int], 
     return [tuple(line) for line in lines]
 
 
-def lines(m: BasisMatroid) -> LineDecomposition:
-    """Line partition of a loopless matroid."""
-    lp = loops(m)
+def lines(m: BasisMatroid, budget: Optional[int] = None) -> LineDecomposition:
+    """Line partition of a loopless matroid. The C(n,2) dependence tests,
+    each a scan of the bases, are gated first (PAIR_SCAN_BUDGET when None)."""
+    lp = loops(m, budget)
     if lp:
         raise HasLoops(f"matroid has loops {sorted(lp)}")
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(m.n, 2, cap) * len(m.base_masks)],
+                 f"line scan of {m.n} elements and {len(m.base_masks)} bases")
     dep = lambda u, v: not _independent(m, 1 << u | 1 << v)
     parts = _lines_from_dependence(list(range(1, m.n + 1)), dep)
     return LineDecomposition(tuple(parts), sum(1 for p in parts if len(p) >= 2))
@@ -380,7 +387,7 @@ def from_gf2_matrix(
     if k == n:
         return None, oracle
     bases = [s for s in all_ksets(n, k, budget) if gf2_rank(masks[v - 1] for v in s) == k]
-    return BasisMatroid(Hypergraph(n, k, frozenset(bases))), oracle
+    return BasisMatroid(Hypergraph(n, k, frozenset(bases)), budget), oracle
 
 
 def _graphic_rank(graph: Graph, edge_indices: Iterable[int]) -> int:
@@ -413,7 +420,7 @@ def from_graph(graph: Graph, budget: Optional[int] = None) -> BasisMatroid:
     if k < 1 or k >= n:
         raise RankCollapse(f"graphic matroid has k={k} on {n} edges")
     bases = [s for s in all_ksets(n, k, budget) if _graphic_rank(graph, s) == k]
-    return BasisMatroid(Hypergraph(n, k, frozenset(bases)))
+    return BasisMatroid(Hypergraph(n, k, frozenset(bases)), budget)
 
 
 def augment(m: BasisMatroid, independent: Iterable[int], basis: Iterable[int]) -> KSet:

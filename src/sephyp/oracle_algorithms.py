@@ -61,8 +61,8 @@ class IndistinguishabilityReport:
     consistent_with_h2: bool
     pairs_total: int
     pairs_touched: int
-    query_threshold: int  # 2^k - 1
-    pair_threshold: int  # C(2k,k)/2
+    threshold_queries: int  # 2^k - 1
+    threshold_pairs: int  # C(2k,k)/2
     unqueried_pair: Optional[tuple[KSet, KSet]]
     alternative_kind: Optional[str]
     budget_exhausted: bool
@@ -139,7 +139,7 @@ def build_adversary(k: int, budget: Optional[int] = None) -> AdversaryInstance:
     h1 = Hypergraph(n, k, full)
     h2 = Hypergraph(n, k, full - {f1, f2})
     for h in (h1, h2):
-        m = BasisMatroid(h)  # raises NotAMatroid if exchange fails
+        m = BasisMatroid(h, budget)  # raises NotAMatroid if exchange fails
         if not is_paving(m):
             raise InternalVerificationError("adversary instance is not paving")
     if decide(h1, budget).kind != SEPARABLE:
@@ -210,8 +210,8 @@ def run_indistinguishability_check(
         consistent_with_h2=consistent,
         pairs_total=pairs_total,
         pairs_touched=len(touched),
-        query_threshold=2 ** k - 1,
-        pair_threshold=pairs_total,
+        threshold_queries=2 ** k - 1,
+        threshold_pairs=pairs_total,
         unqueried_pair=unqueried_pair,
         alternative_kind=alternative_kind,
         budget_exhausted=budget_exhausted,

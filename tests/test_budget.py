@@ -2,9 +2,10 @@
 below the work it counts and runs at exactly that work: the k-sets the C(n,k)
 universe holds, the 2^C(n,k) instances an enumeration walks, the 2^n ground
 subsets behind circuits, the pairs the summable-quadruple scan walks, the
-edge pairs times swaps of the exchange scan, the combinations the
-certificate search walks, the n vertices loops and graph_orderable list, and
-the r-monotone scan's pairs and lookups. The capped binomial behind them is checked against math.comb."""
+edge pairs times swaps of the exchange scan, the ordered basis pairs of
+the basis-exchange check, the element pairs times bases lines scans, the
+combinations the certificate search walks, the n vertices loops and
+graph_orderable list, and the r-monotone scan's pairs and lookups. The capped binomial behind them is checked against math.comb."""
 
 from itertools import combinations, product
 from math import comb
@@ -22,10 +23,16 @@ from sephyp.hypercore import (
     is_exchangeable,
     is_r_monotone,
 )
-from sephyp.matroid import BasisMatroid, Gf2Matrix, Graph, circuits, from_gf2_matrix, from_graph, loops
+from sephyp.matroid import (BasisMatroid, Gf2Matrix, Graph, circuits, exchange_violation, from_gf2_matrix, from_graph,
+                            lines, loops)
 from sephyp.oracle_algorithms import build_adversary
 
-K4 = Graph(4, tuple((u, v) for u in range(1, 5) for v in range(u + 1, 5)))
+# few bases, so that the constructors' basis-exchange gate, which counts
+# |B|^2 basis pairs at the same budget, admits what their k-set gate does:
+# columns 1 and 2 parallel, 4 a loop, bases {1,3} and {2,3}
+GF2_TWO_BASES = Gf2Matrix(2, 4, ((1, 1, 0, 0), (0, 0, 1, 0)))
+# a path of three edges with the first doubled, spanning trees {1,3,4} and {2,3,4}
+DOUBLED_PATH = Graph(4, ((1, 2), (1, 2), (2, 3), (3, 4)))
 # 3 edges and 7 non-edges
 SMALL = Hypergraph.from_edges(5, 2, [(1, 2), (1, 3), (3, 4)])
 U24 = BasisMatroid(Hypergraph.from_edges(4, 2, combinations(range(1, 5), 2)))
@@ -37,10 +44,16 @@ GATED = {
     "enumerate_hypergraphs": (lambda b: list(enumerate_hypergraphs(4, 2, b)), 2 ** comb(4, 2),
                               r"^2\^C\(4,2\) instances"),
     "run_enumeration": (lambda b: run_enumeration(4, 2, "all", (), b), 2 ** comb(4, 2), r"^2\^C\(4,2\) instances"),
-    "from_gf2_matrix": (lambda b: from_gf2_matrix(Gf2Matrix(2, 4, ((1, 0, 1, 1), (0, 1, 1, 0))), b), comb(4, 2),
-                        f"= {comb(4, 2)} k-sets"),
-    "from_graph": (lambda b: from_graph(K4, b), comb(6, 3), f"= {comb(6, 3)} k-sets"),
-    "build_adversary": (lambda b: build_adversary(2, b), comb(4, 2), f"= {comb(4, 2)} k-sets"),
+    "from_gf2_matrix": (lambda b: from_gf2_matrix(GF2_TWO_BASES, b), comb(4, 2), f"= {comb(4, 2)} k-sets"),
+    "from_graph": (lambda b: from_graph(DOUBLED_PATH, b), comb(4, 3), f"= {comb(4, 3)} k-sets"),
+    # the complete h1 has C(4,2) bases, so its exchange check binds before
+    # its k-set gate can admit anything; test_adversary_kset_gate covers that
+    "build_adversary": (lambda b: build_adversary(2, b), comb(4, 2) ** 2,
+                        rf"^basis exchange scan of {comb(4, 2)} bases"),
+    # ordered basis pairs, the equal ones included
+    "exchange_violation": (lambda b: exchange_violation(SMALL, b), 3 ** 2, r"^basis exchange scan of 3 bases"),
+    # C(4,2) element pairs, each tested against the 6 bases
+    "lines": (lambda b: lines(U24, b), comb(4, 2) * 6, r"^line scan of 4 elements and 6 bases"),
     "circuits": (lambda b: circuits(U24, b), 2 ** 4, r"^circuit scan of 2\^4 ground subsets"),
     "loops": (lambda b: loops(U24, b), 4, r"^loops among 4 vertices"),
     "graph_orderable": (lambda b: graph_orderable(SMALL, b), 5, r"^ordering 5 vertices"),
@@ -61,6 +74,12 @@ def test_gate_boundary(name):
     with pytest.raises(BudgetExceeded, match=rf"{message} exceeds budget {work - 1}$"):
         operation(work - 1)
     operation(work)
+
+
+def test_adversary_kset_gate():
+    # the k-set universe is refused before any basis pair is counted
+    with pytest.raises(BudgetExceeded, match=r"^C\(4,2\) >= 6 k-sets exceeds budget 5$"):
+        build_adversary(2, 5)
 
 
 @pytest.mark.parametrize("operation", [
@@ -93,13 +112,13 @@ def test_cover_masks_use_the_default_gate():
 
 
 def test_monotone_gate_boundary():
-    # the work is every ordered pair of s-sets, s = 1..r, plus each k-set
+    # the work is every ordered pair of s-sets, s = 1..r-1, plus each k-set
     # candidate _comparable walks for a distinct pair whose union has at most
     # r vertices; r = 3 > k = 2 also covers the pairs that walk nothing
     n, k, r = 6, 2, 3
     h = Hypergraph.from_edges(n, k, [(1, 2), (1, 3), (4, 5)])
     work = 0
-    for s in range(1, r + 1):
+    for s in range(1, r):
         for r1, r2 in product(combinations(range(1, n + 1), s), repeat=2):
             work += 1
             rest = set(range(1, n + 1)) - set(r1) - set(r2)

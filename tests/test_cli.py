@@ -436,6 +436,31 @@ class TestLargeInstance:
         done = self.cli("analyze", str(inst), "--exchangeable")
         assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: exchange scan of 4060 edges")
 
+    @pytest.mark.parametrize("argv", [["matroid", "verify"], ["matroid", "paving"]], ids=" ".join)
+    def test_basis_exchange_check_of_the_complete_hypergraph_refused(self, tmp_path, argv):
+        # 4060^2 ordered basis pairs exceed the pair scan budget, refused
+        # before the basis-exchange check starts
+        inst = tmp_path / "complete.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 30, "k": 3,
+                                    "edges": [list(g) for g in combinations(range(1, 31), 3)]}))
+        done = self.cli(*argv, str(inst))
+        assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: basis exchange scan of 4060 bases")
+
+    def test_adversary_past_its_basis_exchange_check_refused(self):
+        # C(14,7) = 3432 bases: 3432^2 ordered pairs exceed the pair scan budget
+        done = self.cli("adversary", "--k", "7")
+        assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: basis exchange scan of 3432 bases")
+
+    def test_lines_of_a_thousand_parallel_elements_refused(self, tmp_path):
+        # bases {1,j}, j = 2..1001, so 2..1001 form one line: C(1001,2)
+        # dependence tests, each a scan of 1000 bases, where the exchange
+        # check's 10^6 basis pairs pass
+        inst = tmp_path / "star.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 1001, "k": 2,
+                                    "edges": [[1, j] for j in range(2, 1002)]}))
+        done = self.cli("matroid", "lines", str(inst))
+        assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: line scan of 1001 elements")
+
     def test_orderable_of_two_hundred_thousand_vertices(self, tmp_path):
         # each pick pops a degree heap instead of re-sorting the remaining
         # vertices; two disjoint edges leave 2K2, which is stuck
@@ -452,6 +477,14 @@ class TestLargeInstance:
         inst.write_text(json.dumps({"type": "hypergraph", "n": 10 ** 9, "k": 2, "edges": [[1, 2]]}))
         done = self.cli(*argv, str(inst))
         assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: ")
+
+    def test_one_monotone_of_a_billion_vertices(self, tmp_path):
+        # distinct singletons have a two-vertex union, so 1-monotone compares
+        # nothing and must not list the vertices
+        inst = tmp_path / "billion.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 10 ** 9, "k": 2, "edges": [[1, 2]]}))
+        done = self.cli("analyze", str(inst), "--monotone", "1")
+        assert (done.returncode, done.stdout) == (0, b"1-monotone: yes\n")
 
     def test_certificate_search_bounded_by_its_input(self, tmp_path):
         # one edge admits support 2 only, so asking for more costs nothing more

@@ -177,8 +177,8 @@ class TestIndistinguishability:
         assert report.consistent_with_h2
         assert report.unqueried_pair == (inst.f1, inst.f2)
         assert report.alternative_kind == "equatable"
-        assert report.query_threshold == 7
-        assert report.pair_threshold == 10
+        assert report.threshold_queries == 7
+        assert report.threshold_pairs == 10
 
     def test_replay_identical_when_pair_avoided(self):
         inst = build_adversary(3)
