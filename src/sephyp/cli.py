@@ -12,7 +12,7 @@ enumerate, search-cert. Exit codes are a stable contract:
     70  internal verification failure (a bug, not user error)
 
 SEPHYP_BUDGET (an integer of absolute value at most 10**100) replaces the
-default cap of each budget below except the last two; each but the last is
+default cap of each budget below except the last three; each but the last is
 checked before its loop starts, on the work that loop will do, and the last
 on each Fourier-Motzkin stage once it is built:
 
@@ -27,6 +27,9 @@ on each Fourier-Motzkin stage once it is built:
     matroid circuits, matroid binary        ground subsets, 2^n   2^22
     search-cert                             support combinations  5000000
     matroid loops, analyze --orderable      vertices, n           1000000
+    enumerate: orbit tables (not changed    permutations times    200000
+      by SEPHYP_BUDGET; past it, each       k-sets, n!*C(n,k)
+      instance is decided on its own)
     decide --method fm                      vertices              6
     decide --method fm                      rows of one stage     200000
 """
@@ -368,7 +371,8 @@ def _cmd_search_cert(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sephyp", description=__doc__)
+    parser = argparse.ArgumentParser(prog="sephyp", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"sephyp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,19 +17,30 @@ paving check runs on the same vertex masks, and both share their core with
 the matroid module's public operations. Every instance kept is
 re-materialized and checked with the ordinary public operations,
 BasisMatroid included.
+
+Separability and equatability are invariant under relabeling the vertices,
+so certificates are decided once per isomorphism orbit and then moved and
+verified per instance, in the manner of orbit-wise isomorph-free generation
+(B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998). Each run keeps one _OrbitDecider per (n, k) it meets: the first
+instance of an orbit is decided, and every other one gets that
+certificate moved by the vertex permutation between them and checked on
+itself with the public verifier, so no instance is classified unchecked.
+The law checks stay per instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import Inapplicable, RankCollapse
-from .feasibility import decide, verify_equatable
+from .errors import BudgetExceeded, Inapplicable, InternalVerificationError, RankCollapse
+from .feasibility import Certificate, EquatableCertificate, SeparableCertificate, decide, verify_equatable, verify_separating
 from .hypercore import (
     ENUMERATION_BUDGET,
+    ORBIT_TABLE_BUDGET,
     Hypergraph,
     _mask_kset,
     _vertex_mask,
@@ -187,6 +198,85 @@ def _multipartite_masks(tables: MaskTables) -> Iterator[int]:
         yield sum(1 << i for j, i in enumerate(transversal) if sub >> j & 1)
 
 
+def _orbit_tables(n: int, k: int, budget: Optional[int] = None) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every permutation p of 1..n, identity first, as a tuple with p[v] the
+    image of v (p[0] = 0), and its k-set table: entry i is the mask bit of
+    the image of the i-th lexicographic k-set. The n!·C(n,k) table entries
+    are gated first (ORBIT_TABLE_BUDGET when budget is None)."""
+    ksets = all_ksets(n, k)
+
+    def work(cap: int) -> Iterator[int]:
+        count = len(ksets)
+        for i in range(2, n + 1):
+            if count > cap:
+                break
+            count *= i
+        yield count
+
+    check_budget(budget, ORBIT_TABLE_BUDGET, work, f"orbit tables of {n}! permutations of C({n},{k}) k-sets")
+    bit = {_vertex_mask(g): 1 << i for i, g in enumerate(ksets)}
+    perms = [(0, *images) for images in permutations(range(1, n + 1))]
+    tables = [tuple(bit[sum(1 << p[v] for v in g)] for g in ksets) for p in perms]
+    return perms, tables
+
+
+class _OrbitDecider:
+    """decide for the instances of one (n, k), run once per isomorphism orbit.
+
+    seen maps each instance mask met so far to its orbit's first-seen
+    representative and the permutation p taking the representative to it,
+    packed as the representative's index in certs times n! plus p's index
+    in perms. Every other instance of the orbit gets the representative's
+    certificate moved by p, x[p(v)] = x[v] or y[p(G)] = y[G], and checked on
+    itself with the public verifier. Past ORBIT_TABLE_BUDGET the group is
+    trivial: no table is built and no entry kept, so each instance is
+    decided on its own.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.bit = {g: 1 << i for i, g in enumerate(all_ksets(n, k))}
+        try:
+            self.perms, self.tables = _orbit_tables(n, k)
+        except BudgetExceeded:
+            self.perms, self.tables = [], []
+        self.seen: dict[int, int] = {}
+        self.certs: list[Certificate] = []
+
+    def decide(self, h: Hypergraph) -> Certificate:
+        if not self.tables:
+            return decide(h)
+        mask = sum(map(self.bit.__getitem__, h.edges))
+        code = self.seen.get(mask)
+        if code is not None:
+            rep, j = divmod(code, len(self.perms))
+            return _moved(h, self.certs[rep], self.perms[j])
+        cert = decide(h)
+        code = len(self.certs) * len(self.perms)
+        self.certs.append(cert)
+        bits = _mask_kset(mask)
+        for j, table in enumerate(self.tables):
+            self.seen.setdefault(sum(map(table.__getitem__, bits)), code + j)
+        return cert
+
+
+def _moved(h: Hypergraph, cert: Certificate, p: tuple[int, ...]) -> Certificate:
+    """cert, decided for the instance that p carries to h, moved to h by the
+    vertex permutation p; raises InternalVerificationError unless the public
+    verifier accepts it on h."""
+    if cert.kind == "separable":
+        x = list(cert.x)
+        for v, val in enumerate(cert.x, 1):
+            x[p[v] - 1] = val
+        moved: Certificate = SeparableCertificate(tuple(x))
+        valid = verify_separating(h, moved.x)
+    else:
+        moved = EquatableCertificate(tuple(sorted((tuple(sorted(p[v] for v in g)), val) for g, val in cert.y)))
+        valid = verify_equatable(h, moved.as_dict())
+    if not valid:
+        raise InternalVerificationError(f"moved {cert.kind} certificate fails on {h.sorted_edges()}")
+    return moved
+
+
 def _check_circuit_elimination(m: BasisMatroid) -> Optional[str]:
     """The first circuit pair, shared v and u in the first only (ascending)
     with no circuit through u inside the union less v, as text; or None."""
@@ -228,6 +318,14 @@ def run_enumeration(
         raise Inapplicable(f"enumeration needs 1 <= k < n, got n={n} k={k}")
 
     tables = MaskTables(n, k, budget)
+    orbits: dict[tuple[int, int], _OrbitDecider] = {}
+
+    def decide_once(g: Hypergraph) -> Certificate:
+        """decide through the orbit decider of g's (n, k), made on first use."""
+        if (g.n, g.k) not in orbits:
+            orbits[g.n, g.k] = _OrbitDecider(g.n, g.k)
+        return orbits[g.n, g.k].decide(g)
+
     counts = dict.fromkeys(("total", "separable", "equatable", "exchangeable", "matroids", "paving", "binary"), 0)
     violations: list[dict] = []
 
@@ -253,7 +351,7 @@ def run_enumeration(
         counts["paving"] += paving
         counts["binary"] += binary
 
-        cert = decide(h)
+        cert = decide_once(h)
         counts[cert.kind] += 1
         witness = is_exchangeable(h)
         if witness is not None:
@@ -281,9 +379,9 @@ def run_enumeration(
 
         if "transforms" in check_set:
             comp = complement(h)
-            comp_kind = decide(comp).kind
+            comp_kind = decide_once(comp).kind
             dual_h = dual(h)
-            dual_cert = decide(dual_h)
+            dual_cert = decide_once(dual_h)
             if comp_kind != cert.kind or dual_cert.kind != cert.kind:
                 violate("transforms", f"kinds differ: {cert.kind}/{comp_kind}/{dual_cert.kind}")
             if cert.kind == "equatable":
@@ -312,7 +410,7 @@ def run_enumeration(
             if loop_set:
                 try:
                     minor, _ = delete(basis_matroid, min(loop_set))
-                    if decide(minor.carrier).kind != cert.kind:
+                    if decide_once(minor.carrier).kind != cert.kind:
                         violate("loops", f"kind changes when deleting loop {min(loop_set)}")
                 except RankCollapse:
                     pass  # k = n-1 minor not representable under 1 <= k < n

@@ -30,6 +30,7 @@ CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificat
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage
 VERTEX_LIST_BUDGET = 1_000_000  # vertices, n, listed by matroid.loops and graph_orderable
+ORBIT_TABLE_BUDGET = 200_000  # permutation-table entries, n!·C(n,k), of a harness orbit decider; SEPHYP_BUDGET leaves it
 
 ISOLATED = "isolated"
 DOMINATING = "dominating"

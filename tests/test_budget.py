@@ -5,16 +5,17 @@ subsets behind circuits, the pairs the summable-quadruple scan walks, the
 edge pairs times swaps of the exchange scan, the ordered basis pairs of
 the basis-exchange check, the element pairs times bases lines scans, the
 combinations the certificate search walks, the n vertices loops and
-graph_orderable list, and the r-monotone scan's pairs and lookups. The capped binomial behind them is checked against math.comb."""
+graph_orderable list, the r-monotone scan's pairs and lookups, and the
+permutations times k-sets of the harness's orbit tables. The capped binomial behind them is checked against math.comb."""
 
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from sephyp.errors import BudgetExceeded
 from sephyp.feasibility import build_system, find_binary_certificate
-from sephyp.harness import enumerate_hypergraphs, run_enumeration
+from sephyp.harness import _orbit_tables, enumerate_hypergraphs, run_enumeration
 from sephyp.hypercore import (
     Hypergraph,
     capped_comb,
@@ -44,6 +45,9 @@ GATED = {
     "enumerate_hypergraphs": (lambda b: list(enumerate_hypergraphs(4, 2, b)), 2 ** comb(4, 2),
                               r"^2\^C\(4,2\) instances"),
     "run_enumeration": (lambda b: run_enumeration(4, 2, "all", (), b), 2 ** comb(4, 2), r"^2\^C\(4,2\) instances"),
+    # one k-set table per vertex permutation
+    "orbit_tables": (lambda b: _orbit_tables(4, 2, b), factorial(4) * comb(4, 2),
+                     r"^orbit tables of 4! permutations of C\(4,2\) k-sets"),
     "from_gf2_matrix": (lambda b: from_gf2_matrix(GF2_TWO_BASES, b), comb(4, 2), f"= {comb(4, 2)} k-sets"),
     "from_graph": (lambda b: from_graph(DOUBLED_PATH, b), comb(4, 3), f"= {comb(4, 3)} k-sets"),
     # the complete h1 has C(4,2) bases, so its exchange check binds before

@@ -309,6 +309,16 @@ class TestEnumerate:
         assert code == 0 and "total=4" in out
 
 
+class TestHelp:
+    def test_top_level_help_keeps_the_docstring_tables(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # narrower than the table rows, which argparse must not rewrap
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        assert "    enumerate                               instances, 2^C(n,k)   2^24" in lines
+        assert "    search-cert                             support combinations  5000000" in lines
+
+
 class TestSearchCert:
     def test_counterexample_nine_finds_support_six(self, capsys):
         code, out, _ = run(capsys, "search-cert", f"{FX}/counterexample_nine.json", "--max-support", "6")

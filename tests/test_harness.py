@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from sephyp import harness
-from sephyp.errors import BudgetExceeded, RankZero
+from sephyp.errors import BudgetExceeded, InternalVerificationError, RankZero
 from sephyp.harness import ALL_CHECKS, CLASSES, MaskTables, canonical_partition, enumerate_hypergraphs, run_enumeration
 from sephyp.jsonio import dumps
 from sephyp.matroid import Gf2Matrix, exchange_violation, from_gf2_matrix, is_matroid, is_paving, BasisMatroid
@@ -205,6 +205,38 @@ class TestRunEnumeration:
             for k in (2, 3, 4):
                 digest.update(dumps(run_enumeration(6, k, klass).as_obj()).encode())
         assert digest.hexdigest() == "965812646b156b65e7f4e18649b519b2c65544e336b064f8ec419d691d7dadbd"
+
+    @pytest.mark.parametrize("n, k, klass", [
+        *((n, k, klass) for n, k in EXHAUSTIVE_SHAPES for klass in CLASSES if klass != "graphs" or k == 2),
+        (6, 3, "matroids"),
+    ])
+    def test_trivial_group_gives_the_same_reports(self, monkeypatch, n, k, klass):
+        # a cap of 0 refuses every orbit table, so each instance is decided on its own
+        calls = []
+        right = harness.decide
+        monkeypatch.setattr(harness, "decide", lambda h: calls.append(h) or right(h))
+        default = run_enumeration(n, k, klass, ALL_CHECKS).as_obj()
+        orbit_calls = len(calls)
+        monkeypatch.setattr(harness, "ORBIT_TABLE_BUDGET", 0)
+        assert run_enumeration(n, k, klass, ALL_CHECKS).as_obj() == default
+        assert orbit_calls < len(calls) - orbit_calls
+
+    @pytest.mark.parametrize("n, k, klass, classes", [(5, 2, "graphs", 34), (6, 3, "matroids", 38)])
+    def test_decides_once_per_isomorphism_class(self, monkeypatch, n, k, klass, classes):
+        # 34 graphs on 5 vertices and 38 rank-3 matroids on 6 elements, up to isomorphism
+        calls = []
+        right = harness.decide
+        monkeypatch.setattr(harness, "decide", lambda h: calls.append(h) or right(h))
+        run_enumeration(n, k, klass)
+        assert len(calls) == classes
+
+    def test_moved_certificates_are_verified(self, monkeypatch):
+        # decide checks its own certificates with the feasibility module's
+        # verifiers, so rejecting the harness's fails only the moved ones
+        monkeypatch.setattr(harness, "verify_separating", lambda h, x: False)
+        monkeypatch.setattr(harness, "verify_equatable", lambda h, y: False)
+        with pytest.raises(InternalVerificationError, match=r"^moved (separable|equatable) certificate fails on "):
+            run_enumeration(4, 2, "all")
 
     def test_golden_violation_order_six(self, monkeypatch):
         # a wrong 2-monotone answer flags every one of the 2053 3-matroids on
