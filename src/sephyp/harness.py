@@ -283,10 +283,10 @@ def _check_circuit_elimination(m: BasisMatroid) -> Optional[str]:
     circ = _circuit_masks(m)
     for c1 in circ:
         for c2 in circ:
-            if c1 == c2:
-                continue
-            for v in _mask_kset(c1 & c2):
-                pool = (c1 | c2) ^ 1 << v
+            shared = c1 & c2 if c1 != c2 else 0
+            while shared:
+                v, shared = shared & -shared, shared & (shared - 1)
+                pool = (c1 | c2) ^ v
                 covered = 0
                 for c in circ:
                     if c & pool == c:
@@ -373,9 +373,8 @@ def run_enumeration(
                 if not verify_equatable(h, explicit):
                     violate("quadruple", f"explicit quadruple labeling fails for {quad}")
 
-        if "monotone" in check_set:
-            if is_r_monotone(h, 2) != (witness is None):
-                violate("monotone", "2-monotone disagrees with not-exchangeable")
+        if "monotone" in check_set and is_r_monotone(h, 2) != (witness is None):
+            violate("monotone", "2-monotone disagrees with not-exchangeable")
 
         if "transforms" in check_set:
             comp = complement(h)

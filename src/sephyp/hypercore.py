@@ -264,12 +264,14 @@ def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Exc
     present = set(masks)
     for i, s1 in enumerate(masks):
         for j, s2 in enumerate(masks):
-            only2 = _mask_kset(s2 & ~s1)
-            for v1 in _mask_kset(s1 & ~s2):
-                base1, base2 = s1 ^ 1 << v1, s2 | 1 << v1
-                for v2 in only2:
-                    if (base1 | 1 << v2) not in present and (base2 ^ 1 << v2) not in present:
-                        return ExchangeWitness(edges[i], edges[j], v1, v2)
+            only1 = s1 & ~s2
+            while only1:
+                b1, only1 = only1 & -only1, only1 & (only1 - 1)
+                only2 = s2 & ~s1
+                while only2:
+                    b2, only2 = only2 & -only2, only2 & (only2 - 1)
+                    if (s1 ^ b1 | b2) not in present and (s2 ^ b2 | b1) not in present:
+                        return ExchangeWitness(edges[i], edges[j], b1.bit_length() - 1, b2.bit_length() - 1)
     return None
 
 

@@ -471,6 +471,15 @@ class TestLargeInstance:
         done = self.cli("matroid", "lines", str(inst))
         assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: line scan of 1001 elements")
 
+    @pytest.mark.parametrize("subcommand", ["circuits", "binary"])
+    def test_circuits_of_twenty_two_elements(self, tmp_path, subcommand):
+        # coloops 1-5, U(6,12) on 6-17 and loops 18-22: C(12,6) = 924 bases of
+        # rank 11; 2^22 ground subsets and 924^2 basis pairs pass both gates
+        inst = tmp_path / "wide.json"
+        bases = [list(range(1, 6)) + list(s) for s in combinations(range(6, 18), 6)]
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 22, "k": 11, "edges": bases}))
+        assert self.cli("matroid", subcommand, str(inst)).returncode == 0
+
     def test_orderable_of_two_hundred_thousand_vertices(self, tmp_path):
         # each pick pops a degree heap instead of re-sorting the remaining
         # vertices; two disjoint edges leave 2K2, which is stuck

@@ -378,3 +378,49 @@ def test_circuit_elimination_text_matches_reference(monkeypatch):
         assert problem == reference_check_circuit_elimination(family), family
         outcomes.add(problem is None)
     assert outcomes == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# circuits as fundamental circuits of the bases
+# ---------------------------------------------------------------------------
+
+
+def reference_circuit_scan(m):
+    """Circuits by the subset scan they were found with before they were read
+    off single basis exchanges: every subset of at most k+1 elements, by size
+    then lex, kept when dependent and free of a smaller circuit."""
+    found = []
+    for size in range(1, min(m.n, m.k + 1) + 1):
+        for cand in combinations([1 << v for v in range(1, m.n + 1)], size):
+            c = sum(cand)
+            if any(f & c == f for f in found):
+                continue
+            if not (size <= m.k and any(c & b == c for b in m.base_masks)):
+                found.append(c)
+    return tuple(tuple(v for v in range(1, m.n + 1) if c >> v & 1) for c in found)
+
+
+@pytest.mark.parametrize("n, k, count", [(6, 3, 2053), (6, 4, 813)])
+def test_circuits_match_the_subset_scan(n, k, count):
+    tables = MaskTables(n, k)
+    seen = 0
+    for mask in tables.matroid_masks():
+        m = BasisMatroid(tables.hypergraph(mask))
+        assert circuits(m) == reference_circuit_scan(m), m
+        seen += 1
+    assert seen == count
+
+
+def test_circuits_are_the_minimal_dependent_sets():
+    # the definition, checked with no scan of the old code: each circuit is
+    # dependent, each circuit less one element is independent, and every
+    # dependent set of at most k+1 elements holds a circuit
+    for _, m in zip(range(40), random_matroids()):
+        circ = circuits(m)
+        for c in circ:
+            assert not is_independent(m, c), (m, c)
+            assert all(is_independent(m, c[:i] + c[i + 1:]) for i in range(len(c))), (m, c)
+        for size in range(1, m.k + 2):
+            for s in combinations(range(1, m.n + 1), size):
+                if not is_independent(m, s):
+                    assert any(set(c) <= set(s) for c in circ), (m, s)
