@@ -53,17 +53,8 @@ from .errors import (
     RankZero,
     SephypError,
 )
-from .feasibility import (
-    EquatableCertificate,
-    SeparableCertificate,
-    decide,
-    decide_fm,
-    equatable_violation,
-    find_binary_certificate,
-    separating_violation,
-)
-from .harness import ALL_CHECKS, CLASSES, run_enumeration
 from .hypercore import (
+    CLASSES,
     Hypergraph,
     find_summable_quadruple,
     graph_orderable,
@@ -71,32 +62,9 @@ from .hypercore import (
     is_multipartite,
     is_r_monotone,
 )
-from .jsonio import (
-    certificate_obj,
-    dumps,
-    parse_certificate,
-    parse_instance,
-    parse_partition,
-)
-from .matroid import (
-    BasisMatroid,
-    circuits,
-    exchange_violation,
-    from_gf2_matrix,
-    from_graph,
-    is_binary,
-    is_paving,
-    lines,
-    loops,
-    oracle_from_matroid,
-)
-from .oracle_algorithms import (
-    build_adversary,
-    decide_binary_via_oracle,
-    run_indistinguishability_check,
-    strategy_binary_algorithm,
-    strategy_no_queries,
-)
+
+# Every other sephyp module is imported in the body of the command that runs
+# it, so that a CLI process compiles only what its subcommand uses.
 
 EXIT_OK = 0
 EXIT_INVALID_CERT = 2
@@ -143,6 +111,8 @@ def _read(path: str) -> str:
 
 def _load_matroid(path: str, kind: str, instance, budget: Optional[int]):
     """A gf2 or graph instance's matroid (None for a free GF(2) matroid) and oracle."""
+    from .matroid import from_gf2_matrix, from_graph, oracle_from_matroid
+
     try:
         if kind == "gf2":
             return from_gf2_matrix(instance, budget)
@@ -154,6 +124,8 @@ def _load_matroid(path: str, kind: str, instance, budget: Optional[int]):
 
 def _load_hypergraph(path: str, budget: Optional[int]) -> Hypergraph:
     """Parse an instance file and materialize it to a hypergraph."""
+    from .jsonio import parse_instance
+
     kind, instance = parse_instance(_read(path))
     if kind == "hypergraph":
         return instance
@@ -165,6 +137,8 @@ def _load_hypergraph(path: str, budget: Optional[int]) -> Hypergraph:
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_obj: dict) -> None:
     if args.output == "json":
+        from .jsonio import dumps
+
         sys.stdout.write(dumps(json_obj))
     else:
         for line in text_lines:
@@ -172,19 +146,28 @@ def _emit(args: argparse.Namespace, text_lines: list[str], json_obj: dict) -> No
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from .feasibility import decide, decide_fm
+    from .jsonio import certificate_obj, dumps
+
     h = _load_hypergraph(args.path, args.budget)
     if args.method == "fm":
         cert = decide_fm(h)
     else:
         cert = decide(h, args.budget)
     if args.certificate_out:
-        with open(args.certificate_out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(certificate_obj(cert)))
+        try:
+            with open(args.certificate_out, "w", encoding="utf-8") as fh:
+                fh.write(dumps(certificate_obj(cert)))
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.certificate_out}: {exc}")
     _emit(args, [cert.kind], {"kind": cert.kind, "certificate": certificate_obj(cert)})
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .feasibility import SeparableCertificate, equatable_violation, separating_violation
+    from .jsonio import parse_certificate
+
     h = _load_hypergraph(args.instance, args.budget)
     cert = parse_certificate(_read(args.certificate))
     if isinstance(cert, SeparableCertificate):
@@ -231,6 +214,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                          + (f" (order={list(ordering.order)} tags={list(ordering.tags)})" if ordering else ""))
         obj["orderable"] = asdict(ordering) if ordering else None
     if args.multipartite:
+        from .jsonio import parse_partition
+
         partition = parse_partition(_read(args.multipartite))
         result = is_multipartite(h, partition)  # InvalidPartition -> exit 66
         lines_out.append(f"multipartite: {'yes' if result else 'no'}")
@@ -240,6 +225,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_matroid(args: argparse.Namespace) -> int:
+    from .matroid import BasisMatroid, circuits, exchange_violation, is_binary, is_paving, lines, loops
+
     h = _load_hypergraph(args.path, args.budget)
     if args.subcommand == "verify":
         if not h.edges:
@@ -281,6 +268,10 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_decide(args: argparse.Namespace) -> int:
+    from .feasibility import decide
+    from .jsonio import parse_instance
+    from .oracle_algorithms import decide_binary_via_oracle
+
     kind, instance = parse_instance(_read(args.path))
     if kind == "hypergraph":
         raise Inapplicable("oracle-decide requires a gf2 or graph instance")
@@ -304,6 +295,9 @@ def _cmd_oracle_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
+    from .oracle_algorithms import (build_adversary, run_indistinguishability_check, strategy_binary_algorithm,
+                                    strategy_no_queries)
+
     inst = build_adversary(args.k, args.budget)
     strategies = [("no-queries", strategy_no_queries), ("binary-algorithm", strategy_binary_algorithm)]
     query_budget = args.query_budget if args.query_budget is not None else 4 ** args.k + 100
@@ -332,6 +326,8 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .harness import ALL_CHECKS, run_enumeration
+
     checks = ALL_CHECKS if args.check == "theorems" else frozenset()
     report = run_enumeration(args.n, args.k, args.klass, checks, args.budget)
     lines_out = [
@@ -351,6 +347,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search_cert(args: argparse.Namespace) -> int:
+    from .feasibility import EquatableCertificate, find_binary_certificate
+    from .jsonio import certificate_obj
+
     h = _load_hypergraph(args.path, args.budget)
     support = args.max_support if args.max_support is not None else 2 * h.k
     labeling = find_binary_certificate(h, support, args.budget)

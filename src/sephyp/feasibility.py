@@ -359,7 +359,9 @@ def find_binary_certificate(
     the balance equations over all vertices forces the support to contain
     equally many edges and non-edges, so odd sizes are skipped and each even
     size 2t is searched by matching vertex-count vectors of t-subsets of
-    edges against t-subsets of non-edges, for t up to the smaller count. The
+    edges against t-subsets of non-edges, for t up to the smaller count. A
+    vector is packed into one int, a field per vertex wide enough for the
+    largest t, so it is the sum of its k-sets' packed vectors. The
     k-set universe behind the non-edges, then the combinations walked, are
     gated first (KSET_BUDGET and CERT_SEARCH_BUDGET when budget is None).
     """
@@ -372,20 +374,16 @@ def find_binary_certificate(
                  lambda cap: (capped_comb(len(edges), t, cap) + capped_comb(len(non), t, cap) for t in sizes),
                  f"certificate search of {len(edges)} edges and {len(non)} non-edges up to support {max_support}")
 
-    def count_vector(sets: tuple[KSet, ...]) -> tuple[int, ...]:
-        counts = [0] * h.n
-        for g in sets:
-            for v in g:
-                counts[v - 1] += 1
-        return tuple(counts)
+    width = max(sizes, default=0).bit_length()  # a count is at most t, so no field carries
+    edge_keys, non_keys = ([sum(1 << width * v for v in g) for g in sets] for sets in (edges, non))
 
     for t in sizes:
-        by_vector: dict[tuple[int, ...], list[tuple[KSet, ...]]] = {}
-        for ec in combinations(edges, t):
-            by_vector.setdefault(count_vector(ec), []).append(ec)
+        by_vector: dict[int, list[tuple[KSet, ...]]] = {}
+        for ec, key in zip(combinations(edges, t), map(sum, combinations(edge_keys, t))):
+            by_vector.setdefault(key, []).append(ec)
         best: Optional[tuple[KSet, ...]] = None
-        for fc in combinations(non, t):
-            for ec in by_vector.get(count_vector(fc), ()):
+        for fc, key in zip(combinations(non, t), map(sum, combinations(non_keys, t))):
+            for ec in by_vector.get(key, ()):
                 support = tuple(sorted(ec + fc))
                 if best is None or support < best:
                     best = support

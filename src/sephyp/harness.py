@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError, RankCollapse
 from .feasibility import Certificate, EquatableCertificate, SeparableCertificate, decide, verify_equatable, verify_separating
 from .hypercore import (
+    CLASSES,
     ENUMERATION_BUDGET,
     ORBIT_TABLE_BUDGET,
     Hypergraph,
@@ -65,7 +66,6 @@ from .matroid import (
     loops,
 )
 
-CLASSES = ("all", "graphs", "matroids", "paving", "binary", "multipartite")
 ALL_CHECKS = frozenset(
     {"dichotomy", "quadruple", "monotone", "transforms", "theorems", "loops", "lines", "circuit_elimination"}
 )

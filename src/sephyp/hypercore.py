@@ -1,4 +1,5 @@
-"""Canonical k-hypergraph representation and purely combinatorial predicates.
+"""Canonical k-hypergraph representation, the other input-instance types
+(Partition, Gf2Matrix, Graph), and purely combinatorial predicates.
 
 Vertices are the integers 1..n. An edge (KSet) is a strictly increasing
 k-tuple of vertices. All operations are pure functions over immutable
@@ -31,6 +32,9 @@ FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage
 VERTEX_LIST_BUDGET = 1_000_000  # vertices, n, listed by matroid.loops and graph_orderable
 ORBIT_TABLE_BUDGET = 200_000  # permutation-table entries, n!·C(n,k), of a harness orbit decider; SEPHYP_BUDGET leaves it
+
+# The instance classes harness.run_enumeration walks.
+CLASSES = ("all", "graphs", "matroids", "paving", "binary", "multipartite")
 
 ISOLATED = "isolated"
 DOMINATING = "dominating"
@@ -167,6 +171,43 @@ class Partition:
             seen.update(p)
         if seen != set(range(1, n + 1)):
             raise InvalidPartition(f"parts do not cover 1..{n} exactly")
+
+
+@dataclass(frozen=True)
+class Gf2Matrix:
+    """Dense 0/1 matrix over GF(2); columns index matroid elements."""
+
+    rows: int
+    cols: int
+    bits: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.bits) != self.rows:
+            raise FormatError(f"expected {self.rows} rows, got {len(self.bits)}")
+        for row in self.bits:
+            if len(row) != self.cols:
+                raise FormatError(f"row {row} has wrong width, expected {self.cols}")
+            if any(b not in (0, 1) for b in row):
+                raise FormatError(f"row {row} has entries outside {{0,1}}")
+
+    def column_masks(self) -> list[int]:
+        """Each column as an integer with bit r set when bits[r][col] is 1."""
+        return [sum(1 << r for r in range(self.rows) if self.bits[r][c]) for c in range(self.cols)]
+
+
+@dataclass(frozen=True)
+class Graph:
+    """Multigraph on vertices 1..vertices; parallel edges and self-loops allowed."""
+
+    vertices: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.vertices < 1:
+            raise FormatError("graph needs at least one vertex")
+        for u, v in self.edges:
+            if not (1 <= u <= self.vertices and 1 <= v <= self.vertices):
+                raise FormatError(f"edge ({u},{v}) outside 1..{self.vertices}")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from typing import Any, Union
 
 from .errors import FormatError
 from .feasibility import Certificate, EquatableCertificate, SeparableCertificate
-from .hypercore import Hypergraph, KSet, Partition
-from .matroid import Gf2Matrix, Graph
+from .hypercore import Gf2Matrix, Graph, Hypergraph, KSet, Partition
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 

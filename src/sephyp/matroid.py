@@ -24,8 +24,8 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import (CIRCUIT_GROUND_BUDGET, PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Hypergraph, KSet, _mask_kset,
-                        _vertex_mask, all_ksets, capped_comb, check_budget)
+from .hypercore import (CIRCUIT_GROUND_BUDGET, PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Gf2Matrix, Graph, Hypergraph, KSet,
+                        _mask_kset, _vertex_mask, all_ksets, capped_comb, check_budget)
 
 
 def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
@@ -138,43 +138,6 @@ class LineDecomposition:
 
     lines: tuple[KSet, ...]
     nontrivial_count: int
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Dense 0/1 matrix over GF(2); columns index matroid elements."""
-
-    rows: int
-    cols: int
-    bits: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.rows:
-            raise FormatError(f"expected {self.rows} rows, got {len(self.bits)}")
-        for row in self.bits:
-            if len(row) != self.cols:
-                raise FormatError(f"row {row} has wrong width, expected {self.cols}")
-            if any(b not in (0, 1) for b in row):
-                raise FormatError(f"row {row} has entries outside {{0,1}}")
-
-    def column_masks(self) -> list[int]:
-        """Each column as an integer with bit r set when bits[r][col] is 1."""
-        return [sum(1 << r for r in range(self.rows) if self.bits[r][c]) for c in range(self.cols)]
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Multigraph on vertices 1..vertices; parallel edges and self-loops allowed."""
-
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.vertices < 1:
-            raise FormatError("graph needs at least one vertex")
-        for u, v in self.edges:
-            if not (1 <= u <= self.vertices and 1 <= v <= self.vertices):
-                raise FormatError(f"edge ({u},{v}) outside 1..{self.vertices}")
 
 
 class IndependenceOracle:

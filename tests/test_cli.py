@@ -76,6 +76,13 @@ class TestDecide:
         code, _, err = run(capsys, "decide", f"{FX}/separable_six.json")
         assert code == 65 and "budget" in err
 
+    @pytest.mark.parametrize("target", ["missing/cert.json", "."], ids=["missing directory", "directory"])
+    def test_unwritable_certificate_out(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "decide", f"{FX}/equatable_six.json", "--certificate-out", path)
+        assert code == 64 and out == ""
+        assert err.startswith(f"parse error: cannot write {path}: ")
+
     def test_json_output_deterministic(self, capsys):
         _, out1, _ = run(capsys, "decide", f"{FX}/equatable_six.json", "--output", "json")
         _, out2, _ = run(capsys, "decide", f"{FX}/equatable_six.json", "--output", "json")
@@ -332,6 +339,41 @@ class TestSearchCert:
     def test_support_below_one_inapplicable(self, capsys, support):
         code, _, err = run(capsys, "search-cert", f"{FX}/counterexample_nine.json", "--max-support", support)
         assert code == 66 and err.startswith("inapplicable:")
+
+
+class TestImports:
+    """A CLI process imports only the modules its subcommand runs."""
+
+    CORE = ["sephyp", "sephyp.cli", "sephyp.errors", "sephyp.hypercore"]
+    CHILD = ("import json, sys\n"
+             "from sephyp.cli import main\n"
+             "if sys.argv[1:]:\n"
+             "    try:\n"
+             "        main(sys.argv[1:])\n"
+             "    except SystemExit:\n"
+             "        pass\n"
+             "sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sephyp')))\n")
+
+    def loaded(self, *argv) -> set:
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", self.CHILD, *argv], env=env, capture_output=True,
+                              text=True, timeout=60)
+        return set(json.loads(done.stderr.splitlines()[-1]))
+
+    @pytest.mark.parametrize("argv", [[], ["--version"]], ids=["import", "version"])
+    def test_core_only(self, argv):
+        assert self.loaded(*argv) == set(self.CORE)
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", f"{FX}/counterexample_nine.json"],
+        ["decide", f"{FX}/equatable_six.json", "--method", "fm", "--output", "json"],
+        ["verify", f"{FX}/separable_six.json", f"{FX}/separable_six_x.json"],
+        ["verify", f"{FX}/counterexample_nine.json", f"{FX}/counterexample_nine_y.json", "--output", "json"],
+        ["search-cert", f"{FX}/counterexample_nine.json"],
+    ], ids=" ".join)
+    def test_hypergraph_commands_skip_the_matroid_layers(self, argv):
+        loaded = self.loaded(*argv)
+        assert loaded == set(self.CORE) | {"sephyp.feasibility", "sephyp.jsonio"}
 
 
 class TestLargeInstance:

@@ -215,6 +215,44 @@ class TestBinaryCertificateSearch:
         y = find_binary_certificate(eq_six, 8)
         assert y is not None and len(y) == 4
 
+    @staticmethod
+    def _tuple_search(h, max_support):
+        """The search keyed by count-vector tuples, one built per combination."""
+        edges, non = h.sorted_edges(), h.non_edges()
+
+        def count_vector(sets):
+            counts = [0] * h.n
+            for g in sets:
+                for v in g:
+                    counts[v - 1] += 1
+            return tuple(counts)
+
+        for t in range(1, min(max_support // 2, len(edges), len(non)) + 1):
+            by_vector = {}
+            for ec in combinations(edges, t):
+                by_vector.setdefault(count_vector(ec), []).append(ec)
+            supports = [tuple(sorted(ec + fc)) for fc in combinations(non, t)
+                        for ec in by_vector.get(count_vector(fc), ())]
+            if supports:
+                return {g: Fraction(1) for g in min(supports)}
+        return None
+
+    def test_packed_keys_match_tuple_keys(self, counterexample_nine):
+        # its smallest support is 6, which no random instance below reaches first
+        assert find_binary_certificate(counterexample_nine, 6) == self._tuple_search(counterexample_nine, 6)
+        rng = random.Random(20261019)
+        found = 0
+        for n, k in product(range(6, 9), (2, 3)):
+            ksets = list(combinations(range(1, n + 1), k))
+            for _ in range(4):
+                p = rng.choice((0.2, 0.5, 0.8))
+                h = Hypergraph(n, k, frozenset(g for g in ksets if rng.random() < p))
+                for support in (2, 4, 6):
+                    y = find_binary_certificate(h, support)
+                    assert y == self._tuple_search(h, support), (n, k, sorted(h.edges), support)
+                    found += y is not None
+        assert found >= 20  # the comparison covers found supports, not only absences
+
 
 class TestDichotomy:
     def test_never_both_kinds(self, sep_six, eq_six, paving_five, counterexample_nine, complete_two_four, path_four):
