@@ -24,7 +24,7 @@ on each Fourier-Motzkin stage once it is built:
     basis exchange: matroid, adversary,     basis pairs, |B|^2    4000000
       every gf2 or graph instance
     matroid lines                           pairs times bases     4000000
-    matroid circuits, matroid binary        ground subsets, 2^n   2^22
+    matroid circuits, matroid binary        lookups, |B|*k*(n-k)  4000000
     search-cert                             support combinations  5000000
     matroid loops, analyze --orderable      vertices, n           1000000
     enumerate: orbit tables (not changed    permutations times    200000

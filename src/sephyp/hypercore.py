@@ -25,8 +25,7 @@ KSet = tuple[int, ...]
 # Default caps, each in the unit its operation counts (see check_budget).
 KSET_BUDGET = 200_000  # k-sets built by all_ksets
 ENUMERATION_BUDGET = 2 ** 24  # instances, 2^C(n,k), of harness.MaskTables
-PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of the law checks, the basis-exchange check and matroid.lines
-CIRCUIT_GROUND_BUDGET = 2 ** 22  # ground subsets, 2^n, behind matroid.circuits
+PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of the law checks, basis exchange, matroid.lines and matroid.circuits
 CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage

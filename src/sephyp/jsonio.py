@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from .errors import FormatError
-from .feasibility import Certificate, EquatableCertificate, SeparableCertificate
 from .hypercore import Gf2Matrix, Graph, Hypergraph, KSet, Partition
+
+if TYPE_CHECKING:
+    from .feasibility import Certificate
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -135,6 +137,8 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_certificate(text: str) -> Certificate:
+    from .feasibility import EquatableCertificate, SeparableCertificate
+
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("certificate file must be a JSON object")
@@ -161,7 +165,7 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def certificate_obj(cert: Certificate) -> dict:
-    if isinstance(cert, SeparableCertificate):
+    if cert.kind == "separable":
         return {"kind": "separable", "x": [rational_str(v) for v in cert.x]}
     return {
         "kind": "equatable",

@@ -24,8 +24,8 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import (CIRCUIT_GROUND_BUDGET, PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Gf2Matrix, Graph, Hypergraph, KSet,
-                        _mask_kset, _vertex_mask, all_ksets, capped_comb, check_budget)
+from .hypercore import (PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Gf2Matrix, Graph, Hypergraph, KSet, _mask_kset,
+                        _vertex_mask, all_ksets, capped_comb, check_budget)
 
 
 def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
@@ -228,17 +228,16 @@ def contract(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
 
 
 def _circuit_masks(m: BasisMatroid, budget: Optional[int] = None) -> tuple[int, ...]:
-    """All circuits as vertex masks, in the order of circuits: |B|·k·(n-k) basis
-    lookups, gated in the unchanged unit of 2^n ground subsets, an upper bound."""
-    check_budget(budget, CIRCUIT_GROUND_BUDGET, lambda cap: [1 << min(m.n, cap.bit_length())],
-                 f"circuit scan of 2^{m.n} ground subsets")
+    """All circuits as vertex masks, in the order of circuits. The |B|·k·(n-k)
+    basis lookups are gated first (PAIR_SCAN_BUDGET when None)."""
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(m.base_masks) * m.k * (m.n - m.k)],
+                 f"circuit scan of {len(m.base_masks)} bases on {m.n} elements")
     return m._circuits
 
 
 def circuits(m: BasisMatroid, budget: Optional[int] = None) -> tuple[KSet, ...]:
-    """All circuits, ascending by size then lex (none exceeds k+1 elements). The
-    gate still counts 2^n ground subsets (CIRCUIT_GROUND_BUDGET when budget is
-    None), an upper bound on the |B|·k·(n-k) basis lookups of _circuit_masks."""
+    """All circuits, ascending by size then lex (none exceeds k+1 elements),
+    gated as in _circuit_masks."""
     return tuple(map(_mask_kset, _circuit_masks(m, budget)))
 
 
@@ -258,21 +257,18 @@ def is_paving(m: BasisMatroid) -> bool:
     return _mask_is_paving(m.base_masks, m.n, m.k)
 
 
-def _peel_into_circuits(remainder: int, circuit_masks: tuple[int, ...]) -> bool:
-    """Exhaustive backtracking partition of the vertex mask remainder into disjoint circuits."""
-    if not remainder:
-        return True
-    anchor = remainder & -remainder
-    for c in circuit_masks:
-        if c & anchor and c & remainder == c and _peel_into_circuits(remainder ^ c, circuit_masks):
-            return True
-    return False
-
-
 def is_binary(m: BasisMatroid, budget: Optional[int] = None) -> bool:
-    """Whether every symmetric difference of two circuits splits into circuits."""
-    circ = _circuit_masks(m, budget)
-    return all(_peel_into_circuits(c1 ^ c2, circ) for c1, c2 in combinations(circ, 2))
+    """Whether m is binary: whether its circuits span n - k dimensions over GF(2), gated as in _circuit_masks.
+    By Tutte's parity theorem (Trans. AMS 88, 1958; Oxley, Matroid Theory, 2nd ed., Thm 9.1.2), M is binary iff
+    every circuit meets every cocircuit evenly. Fix a basis B. The circuits C(e, B), e not in B, and cocircuits
+    C*(x, B), x in B, are independent vectors, each holding its own e or x. C(e, B) meets C*(x, B) in {x, e}
+    or nothing, as each holds both iff B - x + e is a basis, so their spans are orthogonal complements, of
+    dimensions n - k and k: the circuits span at least n - k. If M is binary, every circuit is orthogonal to
+    every C*(x, B), so lies in the span of the C(e, B). Conversely, a span of n - k dimensions is that of the
+    C(e, B) for every B, so every circuit meets every C*(x, B) of every B evenly. These are all the cocircuits
+    (BasisMatroid._circuits applied to the dual), so M is binary by the theorem.
+    """
+    return gf2_rank(_circuit_masks(m, budget)) == m.n - m.k
 
 
 def _lines_from_dependence(elements: list[int], dependent: Callable[[int, int], bool]) -> list[KSet]:

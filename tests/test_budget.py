@@ -1,10 +1,10 @@
 """Budget gates at their boundary. Each gated operation refuses one unit
 below the work it counts and runs at exactly that work: the k-sets the C(n,k)
-universe holds, the 2^C(n,k) instances an enumeration walks, the 2^n ground
-subsets behind circuits, the pairs the summable-quadruple scan walks, the
-edge pairs times swaps of the exchange scan, the ordered basis pairs of
-the basis-exchange check, the element pairs times bases lines scans, the
-combinations the certificate search walks, the n vertices loops and
+universe holds, the 2^C(n,k) instances an enumeration walks, the |B|·k·(n-k)
+basis lookups behind circuits and is_binary, the pairs the summable-quadruple
+scan walks, the edge pairs times swaps of the exchange scan, the ordered basis
+pairs of the basis-exchange check, the element pairs times bases lines scans,
+the combinations the certificate search walks, the n vertices loops and
 graph_orderable list, the r-monotone scan's pairs and lookups, and the
 permutations times k-sets of the harness's orbit tables. The capped binomial behind them is checked against math.comb."""
 
@@ -25,7 +25,7 @@ from sephyp.hypercore import (
     is_r_monotone,
 )
 from sephyp.matroid import (BasisMatroid, Gf2Matrix, Graph, circuits, exchange_violation, from_gf2_matrix, from_graph,
-                            lines, loops)
+                            is_binary, lines, loops)
 from sephyp.oracle_algorithms import build_adversary
 
 # few bases, so that the constructors' basis-exchange gate, which counts
@@ -58,7 +58,9 @@ GATED = {
     "exchange_violation": (lambda b: exchange_violation(SMALL, b), 3 ** 2, r"^basis exchange scan of 3 bases"),
     # C(4,2) element pairs, each tested against the 6 bases
     "lines": (lambda b: lines(U24, b), comb(4, 2) * 6, r"^line scan of 4 elements and 6 bases"),
-    "circuits": (lambda b: circuits(U24, b), 2 ** 4, r"^circuit scan of 2\^4 ground subsets"),
+    # each of the 6 bases looked up with each of its 2 elements swapped for each of the 2 outside it
+    "circuits": (lambda b: circuits(U24, b), 6 * 2 * 2, r"^circuit scan of 6 bases on 4 elements"),
+    "is_binary": (lambda b: is_binary(U24, b), 6 * 2 * 2, r"^circuit scan of 6 bases on 4 elements"),
     "loops": (lambda b: loops(U24, b), 4, r"^loops among 4 vertices"),
     "graph_orderable": (lambda b: graph_orderable(SMALL, b), 5, r"^ordering 5 vertices"),
     "find_summable_quadruple": (lambda b: find_summable_quadruple(SMALL, b), comb(7, 2) + comb(3, 2),

@@ -324,6 +324,7 @@ class TestHelp:
         lines = capsys.readouterr().out.splitlines()
         assert "    enumerate                               instances, 2^C(n,k)   2^24" in lines
         assert "    search-cert                             support combinations  5000000" in lines
+        assert "    matroid circuits, matroid binary        lookups, |B|*k*(n-k)  4000000" in lines
 
 
 class TestSearchCert:
@@ -374,6 +375,13 @@ class TestImports:
     def test_hypergraph_commands_skip_the_matroid_layers(self, argv):
         loaded = self.loaded(*argv)
         assert loaded == set(self.CORE) | {"sephyp.feasibility", "sephyp.jsonio"}
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["analyze", f"{FX}/paving_five.json", "--exchangeable"], {"sephyp.jsonio"}),
+        (["matroid", "binary", f"{FX}/uniform_two_four.json"], {"sephyp.jsonio", "sephyp.matroid"}),
+    ], ids=["analyze", "matroid"])
+    def test_commands_without_the_lp_skip_feasibility(self, argv, modules):
+        assert self.loaded(*argv) == set(self.CORE) | modules
 
 
 class TestLargeInstance:
@@ -516,11 +524,39 @@ class TestLargeInstance:
     @pytest.mark.parametrize("subcommand", ["circuits", "binary"])
     def test_circuits_of_twenty_two_elements(self, tmp_path, subcommand):
         # coloops 1-5, U(6,12) on 6-17 and loops 18-22: C(12,6) = 924 bases of
-        # rank 11; 2^22 ground subsets and 924^2 basis pairs pass both gates
+        # rank 11; 924^2 basis pairs and 924*11*11 basis lookups pass both gates
         inst = tmp_path / "wide.json"
         bases = [list(range(1, 6)) + list(s) for s in combinations(range(6, 18), 6)]
         inst.write_text(json.dumps({"type": "hypergraph", "n": 22, "k": 11, "edges": bases}))
         assert self.cli("matroid", subcommand, str(inst)).returncode == 0
+
+    def test_circuits_of_forty_parallel_elements(self, tmp_path):
+        # U(1,40): every pair is a circuit, read off 40*39 basis lookups, and
+        # their GF(2) span has dimension n - k = 39, so the matroid is binary
+        inst = tmp_path / "u140.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 40, "k": 1, "edges": [[v] for v in range(1, 41)]}))
+        done = self.cli("matroid", "circuits", str(inst), "--output", "json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout) == {"circuits": [list(c) for c in combinations(range(1, 41), 2)]}
+        binary = self.cli("matroid", "binary", str(inst))
+        assert (binary.returncode, binary.stdout) == (0, b"binary: yes\n")
+
+    def test_binary_fano_with_three_parallel_copies(self, tmp_path):
+        # each column of the Fano matrix (the 7 nonzero vectors of GF(2)^3)
+        # three times over: 21 elements, 756 bases
+        inst = tmp_path / "fano3.json"
+        bits = [[c >> r & 1 for c in range(1, 8) for _ in range(3)] for r in range(3)]
+        inst.write_text(json.dumps({"type": "gf2", "rows": 3, "cols": 21, "bits": bits}))
+        done = self.cli("matroid", "binary", str(inst))
+        assert (done.returncode, done.stdout) == (0, b"binary: yes\n")
+
+    def test_binary_u24_with_five_parallel_copies(self, tmp_path):
+        # U(2,4) with each point five times over (n = 20): still not binary
+        inst = tmp_path / "u24x5.json"
+        bases = [[a, b] for a, b in combinations(range(1, 21), 2) if (a - 1) // 5 != (b - 1) // 5]
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 20, "k": 2, "edges": bases}))
+        done = self.cli("matroid", "binary", str(inst))
+        assert (done.returncode, done.stdout) == (0, b"binary: no\n")
 
     def test_orderable_of_two_hundred_thousand_vertices(self, tmp_path):
         # each pick pops a degree heap instead of re-sorting the remaining

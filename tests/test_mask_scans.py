@@ -400,15 +400,33 @@ def reference_circuit_scan(m):
     return tuple(tuple(v for v in range(1, m.n + 1) if c >> v & 1) for c in found)
 
 
+def reference_peel_masks(remainder, circuit_masks):
+    """The peel is_binary ran before the GF(2) rank test: a backtracking
+    partition of the vertex mask remainder into disjoint circuits."""
+    if not remainder:
+        return True
+    anchor = remainder & -remainder
+    return any(c & anchor and c & remainder == c and reference_peel_masks(remainder ^ c, circuit_masks)
+               for c in circuit_masks)
+
+
 @pytest.mark.parametrize("n, k, count", [(6, 3, 2053), (6, 4, 813)])
 def test_circuits_match_the_subset_scan(n, k, count):
+    # is_binary, a GF(2) rank, is checked against the peel on the same circuits:
+    # binary iff every symmetric difference of two circuits splits into circuits
     tables = MaskTables(n, k)
-    seen = 0
+    seen, binary = 0, set()
     for mask in tables.matroid_masks():
         m = BasisMatroid(tables.hypergraph(mask))
-        assert circuits(m) == reference_circuit_scan(m), m
+        circ = circuits(m)
+        assert circ == reference_circuit_scan(m), m
+        masks = [sum(1 << v for v in c) for c in circ]
+        peeled = all(reference_peel_masks(c1 ^ c2, masks) for c1, c2 in combinations(masks, 2))
+        assert is_binary(m) == peeled, m
+        binary.add(peeled)
         seen += 1
     assert seen == count
+    assert binary == {False, True}
 
 
 def test_circuits_are_the_minimal_dependent_sets():
