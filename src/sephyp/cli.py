@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -136,13 +135,20 @@ def _load_hypergraph(path: str, budget: Optional[int]) -> Hypergraph:
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_obj: dict) -> None:
-    if args.output == "json":
-        from .jsonio import dumps
+    """Write the report to stdout. A reader that closed the pipe ends the
+    report, not the command: stdout is pointed at devnull, so later writes and
+    the flush at exit stay quiet, and the command returns its own exit code."""
+    try:
+        if args.output == "json":
+            from .jsonio import dumps
 
-        sys.stdout.write(dumps(json_obj))
-    else:
-        for line in text_lines:
-            print(line)
+            sys.stdout.write(dumps(json_obj))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
@@ -198,12 +204,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         w = is_exchangeable(h, args.budget)
         lines_out.append(f"exchangeable: {'yes' if w else 'no'}"
                          + (f" (e1={w.e1} e2={w.e2} v1={w.v1} v2={w.v2})" if w else ""))
-        obj["exchangeable"] = asdict(w) if w else None
+        obj["exchangeable"] = vars(w) if w else None
     if args.summable:
         q = find_summable_quadruple(h, args.budget)
         lines_out.append(f"summable quadruple: {'yes' if q else 'no'}"
                          + (f" (e1={q.e1} e2={q.e2} f1={q.f1} f2={q.f2})" if q else ""))
-        obj["summable"] = asdict(q) if q else None
+        obj["summable"] = vars(q) if q else None
     if args.monotone is not None:
         result = is_r_monotone(h, args.monotone, args.budget)
         lines_out.append(f"{args.monotone}-monotone: {'yes' if result else 'no'}")
@@ -212,7 +218,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ordering = graph_orderable(h, args.budget)  # NotAGraph -> exit 66
         lines_out.append(f"orderable: {'yes' if ordering else 'no'}"
                          + (f" (order={list(ordering.order)} tags={list(ordering.tags)})" if ordering else ""))
-        obj["orderable"] = asdict(ordering) if ordering else None
+        obj["orderable"] = vars(ordering) if ordering else None
     if args.multipartite:
         from .jsonio import parse_partition
 
@@ -256,7 +262,7 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
             args,
             [f"lines: {' '.join(str(list(p)) for p in decomposition.lines)}",
              f"nontrivial: {decomposition.nontrivial_count}"],
-            asdict(decomposition),
+            vars(decomposition),
         )
     elif args.subcommand == "circuits":
         circ = circuits(m, args.budget)
@@ -308,7 +314,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         f"thresholds: queries 2^k-1 = {first.threshold_queries}, pairs C(2k,k)/2 = {first.threshold_pairs}",
     ]
     obj = {"k": inst.k, "f1": inst.f1, "f2": inst.f2, "threshold_queries": first.threshold_queries,
-           "threshold_pairs": first.threshold_pairs, "strategies": {name: asdict(r) for name, r in reports.items()}}
+           "threshold_pairs": first.threshold_pairs, "strategies": {name: vars(r) for name, r in reports.items()}}
     for name, report in reports.items():
         lines_out.append(
             f"[{name}] verdict={report.verdict} queries={report.queries} "

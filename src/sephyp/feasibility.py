@@ -21,14 +21,14 @@ scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError
-from .hypercore import CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb, check_budget
+from .hypercore import (CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb,
+                        check_budget, record)
 
 SetLabeling = dict[KSet, Fraction]
 
@@ -36,7 +36,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class SeparableCertificate:
     """Vertex labeling whose nonnegative-sum k-sets are exactly the edges."""
 
@@ -45,7 +45,7 @@ class SeparableCertificate:
     kind = "separable"
 
 
-@dataclass(frozen=True)
+@record
 class EquatableCertificate:
     """Nonnegative nonzero k-set labeling balancing edges against non-edges
     at every vertex; stored sparsely as sorted (k-set, value) entries."""
@@ -61,7 +61,7 @@ class EquatableCertificate:
 Certificate = Union[SeparableCertificate, EquatableCertificate]
 
 
-@dataclass(frozen=True)
+@record
 class FarkasSystem:
     """The inequality system Ax <= b whose feasibility is separability.
 

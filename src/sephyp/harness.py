@@ -31,7 +31,6 @@ The law checks stay per instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -54,6 +53,7 @@ from .hypercore import (
     graph_orderable,
     is_exchangeable,
     is_r_monotone,
+    record,
 )
 from .matroid import (
     BasisMatroid,
@@ -71,7 +71,7 @@ ALL_CHECKS = frozenset(
 )
 
 
-@dataclass
+@record
 class EnumerationReport:
     n: int
     k: int

@@ -9,7 +9,6 @@ wrap a query function with a deterministic cache and an ordered trace.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
@@ -25,7 +24,7 @@ from .errors import (
     RankZero,
 )
 from .hypercore import (PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Gf2Matrix, Graph, Hypergraph, KSet, _mask_kset,
-                        _vertex_mask, all_ksets, capped_comb, check_budget)
+                        _vertex_mask, all_ksets, capped_comb, check_budget, record)
 
 
 def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
@@ -76,13 +75,16 @@ def is_matroid(h: Hypergraph) -> bool:
     return bool(h.edges) and exchange_violation(h) is None
 
 
-@dataclass(frozen=True)
+@record
 class BasisMatroid:
     """A hypergraph whose edges are the bases of a rank-k matroid; the
     exchange check is gated at budget (see exchange_violation)."""
 
     carrier: Hypergraph
-    budget: InitVar[Optional[int]] = None
+
+    def __init__(self, carrier: Hypergraph, budget: Optional[int] = None) -> None:
+        object.__setattr__(self, "carrier", carrier)
+        self.__post_init__(budget)
 
     def __post_init__(self, budget: Optional[int]) -> None:
         if not self.carrier.edges:
@@ -124,14 +126,14 @@ def _fundamental_mask(present: set[int], b: int, e: int) -> int:
     return c
 
 
-@dataclass(frozen=True)
+@record
 class Circuit:
     """Minimal dependent vertex set."""
 
     elements: KSet
 
 
-@dataclass(frozen=True)
+@record
 class LineDecomposition:
     """Partition of the ground set into lines (maximal pairwise-dependent
     classes of a loopless matroid)."""

@@ -14,13 +14,12 @@ is equally consistent with an equatable paving matroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Union
 
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError, NotAMatroid, OracleInconsistent
 from .feasibility import decide
-from .hypercore import Hypergraph, KSet, all_ksets
+from .hypercore import Hypergraph, KSet, all_ksets, record
 from .matroid import BasisMatroid, IndependenceOracle, _lines_from_dependence, is_independent, is_paving
 
 SEPARABLE = "separable"
@@ -29,7 +28,7 @@ EQUATABLE = "equatable"
 Strategy = Callable[[IndependenceOracle, int, int], Union[str, "OracleDecision"]]
 
 
-@dataclass(frozen=True)
+@record
 class OracleDecision:
     """Verdict of an oracle-driven decision, with the full query transcript."""
 
@@ -38,7 +37,7 @@ class OracleDecision:
     trace: tuple[tuple[KSet, bool], ...]
 
 
-@dataclass(frozen=True)
+@record
 class AdversaryInstance:
     """Complete k-hypergraph h1 on [2k] and its paving relaxation h2 missing
     one complementary basis pair f1, f2."""
@@ -50,7 +49,7 @@ class AdversaryInstance:
     f2: KSet
 
 
-@dataclass(frozen=True)
+@record
 class IndistinguishabilityReport:
     """Outcome of running a strategy against the adversary oracle."""
 

@@ -353,13 +353,16 @@ class TestImports:
              "        main(sys.argv[1:])\n"
              "    except SystemExit:\n"
              "        pass\n"
-             "sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sephyp')))\n")
+             "sys.stderr.write(json.dumps(sorted(sys.modules)))\n")
 
-    def loaded(self, *argv) -> set:
+    def modules(self, *argv) -> set:
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
         done = subprocess.run([sys.executable, "-c", self.CHILD, *argv], env=env, capture_output=True,
                               text=True, timeout=60)
         return set(json.loads(done.stderr.splitlines()[-1]))
+
+    def loaded(self, *argv) -> set:
+        return {m for m in self.modules(*argv) if m.split(".")[0] == "sephyp"}
 
     @pytest.mark.parametrize("argv", [[], ["--version"]], ids=["import", "version"])
     def test_core_only(self, argv):
@@ -382,6 +385,16 @@ class TestImports:
     ], ids=["analyze", "matroid"])
     def test_commands_without_the_lp_skip_feasibility(self, argv, modules):
         assert self.loaded(*argv) == set(self.CORE) | modules
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["decide", f"{FX}/separable_six.json"],
+        ["matroid", "binary", f"{FX}/uniform_two_four.json"],
+        ["adversary", "--k", "3"],
+        ["enumerate", "--n", "4", "--k", "2", "--check", "theorems"],
+    ], ids=lambda argv: " ".join(argv) or "import")
+    def test_value_classes_need_neither_dataclasses_nor_inspect(self, argv):
+        assert not {"dataclasses", "inspect"} & self.modules(*argv)
 
 
 class TestLargeInstance:
@@ -540,6 +553,27 @@ class TestLargeInstance:
         assert json.loads(done.stdout) == {"circuits": [list(c) for c in combinations(range(1, 41), 2)]}
         binary = self.cli("matroid", "binary", str(inst))
         assert (binary.returncode, binary.stdout) == (0, b"binary: yes\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["matroid", "circuits"], 0),  # 780 circuits on one line
+        (["matroid", "circuits", "--output", "json"], 0),
+        (["matroid", "binary"], 0),  # one short line, written at the flush
+        (["verify"], 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit={v}")
+    def test_closed_stdout_ends_quietly(self, tmp_path, argv, code):
+        # the reader closes the pipe before the child writes: the report is
+        # lost, but the command still ends with its own exit code
+        inst, cert = tmp_path / "u140.json", tmp_path / "negative.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 40, "k": 1, "edges": [[v] for v in range(1, 41)]}))
+        cert.write_text(json.dumps({"kind": "separable", "x": ["-1"] * 40}))  # every edge sums below 0
+        argv = [*argv, str(inst)] + ([str(cert)] if argv == ["verify"] else [])
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        child = subprocess.Popen([sys.executable, "-m", "sephyp.cli", *argv], env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+        child.stdout.close()
+        _, err = child.communicate(timeout=30)
+        assert b"Traceback" not in err and child.returncode in (0, 2, 64, 65, 66, 67, 70), err.decode()
+        assert (child.returncode, err) == (code, b"")
 
     def test_binary_fano_with_three_parallel_copies(self, tmp_path):
         # each column of the Fano matrix (the 7 nonzero vectors of GF(2)^3)
