@@ -25,6 +25,10 @@ on each Fourier-Motzkin stage once it is built:
       every gf2 or graph instance
     matroid lines                           pairs times bases     4000000
     matroid circuits, matroid binary        lookups, |B|*k*(n-k)  4000000
+    a hypergraph's edge masks, built once   64-bit words, one per 4000000
+      for analyze --exchangeable,           64 vertices up to
+      --summable, --monotone and every      each edge's largest
+      matroid subcommand
     search-cert                             support combinations  5000000
     matroid loops, analyze --orderable      vertices, n           1000000
     enumerate: orbit tables (not changed    permutations times    200000

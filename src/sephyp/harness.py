@@ -198,11 +198,13 @@ def _multipartite_masks(tables: MaskTables) -> Iterator[int]:
         yield sum(1 << i for j, i in enumerate(transversal) if sub >> j & 1)
 
 
-def _orbit_tables(n: int, k: int, budget: Optional[int] = None) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Every permutation p of 1..n, identity first, as a tuple with p[v] the
-    image of v (p[0] = 0), and its k-set table: entry i is the mask bit of
-    the image of the i-th lexicographic k-set. The n!·C(n,k) table entries
-    are gated first (ORBIT_TABLE_BUDGET when budget is None)."""
+def _orbit_tables(n: int, k: int, budget: Optional[int] = None
+                  ) -> tuple[dict[int, int], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The instance-mask bit of each k-set, keyed by its vertex mask; every
+    permutation p of 1..n, identity first, as a tuple with p[v] the image of
+    v (p[0] = 0); and its k-set table: entry i is the mask bit of the image of
+    the i-th lexicographic k-set. The n!·C(n,k) table entries are gated first
+    (ORBIT_TABLE_BUDGET when budget is None)."""
     ksets = all_ksets(n, k)
 
     def work(cap: int) -> Iterator[int]:
@@ -217,7 +219,7 @@ def _orbit_tables(n: int, k: int, budget: Optional[int] = None) -> tuple[list[tu
     bit = {_vertex_mask(g): 1 << i for i, g in enumerate(ksets)}
     perms = [(0, *images) for images in permutations(range(1, n + 1))]
     tables = [tuple(bit[sum(1 << p[v] for v in g)] for g in ksets) for p in perms]
-    return perms, tables
+    return bit, perms, tables
 
 
 class _OrbitDecider:
@@ -234,18 +236,17 @@ class _OrbitDecider:
     """
 
     def __init__(self, n: int, k: int):
-        self.bit = {g: 1 << i for i, g in enumerate(all_ksets(n, k))}
         try:
-            self.perms, self.tables = _orbit_tables(n, k)
+            self.bit, self.perms, self.tables = _orbit_tables(n, k)
         except BudgetExceeded:
-            self.perms, self.tables = [], []
+            self.bit, self.perms, self.tables = {}, [], []
         self.seen: dict[int, int] = {}
         self.certs: list[Certificate] = []
 
     def decide(self, h: Hypergraph) -> Certificate:
         if not self.tables:
             return decide(h)
-        mask = sum(map(self.bit.__getitem__, h.edges))
+        mask = sum(map(self.bit.__getitem__, h.edge_masks()))
         code = self.seen.get(mask)
         if code is not None:
             rep, j = divmod(code, len(self.perms))
@@ -404,17 +405,16 @@ def run_enumeration(
                 if (ordering is not None) != (cert.kind == "separable"):
                     violate("theorems", f"orderable = {ordering is not None} but {cert.kind}")
 
-        if "loops" in check_set and basis_matroid is not None:
-            loop_set = loops(basis_matroid)
-            if loop_set:
-                try:
-                    minor, _ = delete(basis_matroid, min(loop_set))
-                    if decide_once(minor.carrier).kind != cert.kind:
-                        violate("loops", f"kind changes when deleting loop {min(loop_set)}")
-                except RankCollapse:
-                    pass  # k = n-1 minor not representable under 1 <= k < n
+        loop_set = loops(basis_matroid) if basis_matroid is not None and check_set & {"loops", "lines"} else None
+        if "loops" in check_set and loop_set:
+            try:
+                minor, _ = delete(basis_matroid, min(loop_set))
+                if decide_once(minor.carrier).kind != cert.kind:
+                    violate("loops", f"kind changes when deleting loop {min(loop_set)}")
+            except RankCollapse:
+                pass  # k = n-1 minor not representable under 1 <= k < n
 
-        if "lines" in check_set and basis_matroid is not None and not loops(basis_matroid):
+        if "lines" in check_set and loop_set == frozenset():  # a matroid without loops
             if lines(basis_matroid).nontrivial_count >= 2 and witness is None:
                 violate("lines", "two nontrivial lines but no exchange witness")
 

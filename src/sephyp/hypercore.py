@@ -9,6 +9,8 @@ witnesses are stable across runs.
 Scans run on vertex masks, ints with bit v set for each vertex v
 (_vertex_mask); KSet tuples appear only at the API boundary, in arguments
 and return values. Masks are walked in ascending bit, that is vertex, order.
+A hypergraph's edges become masks in one place only, its gated view
+Hypergraph.edge_masks, which every scan and matroid operation reads.
 
 Every value class of the package (hypergraphs, certificates, witnesses,
 reports) is made by the record decorator below, not by dataclasses: a CLI
@@ -31,6 +33,7 @@ KSet = tuple[int, ...]
 KSET_BUDGET = 200_000  # k-sets built by all_ksets
 ENUMERATION_BUDGET = 2 ** 24  # instances, 2^C(n,k), of harness.MaskTables
 PAIR_SCAN_BUDGET = 4_000_000  # pairs and lookups of the law checks, basis exchange, matroid.lines and matroid.circuits
+MASK_WORD_BUDGET = 4_000_000  # 64-bit words of Hypergraph.edge_masks, one per 64 vertices up to each edge's last
 CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage
@@ -156,6 +159,8 @@ class Hypergraph:
     uniformities are rejected rather than special-cased downstream.
     """
 
+    __slots__ = ("__dict__", "_masks")  # the edge-mask view stays out of vars(), ==, hash and repr
+
     n: int
     k: int
     edges: frozenset[KSet]
@@ -187,6 +192,19 @@ class Hypergraph:
     def sorted_edges(self) -> list[KSet]:
         return sorted(self.edges)
 
+    def edge_masks(self, budget: Optional[int] = None) -> list[int]:
+        """The edges as vertex masks, in sorted_edges() order: the one place a hypergraph's edges become masks.
+        Kept on the instance once built and shared by every caller, which only reads it. Only that first build is
+        gated, on the 64-bit words of the masks, as a mask's size follows its largest vertex, not n or |E|
+        (MASK_WORD_BUDGET when budget is None). A list, as CPython keeps freed tuples of each short length
+        for reuse, which held about 1 MB more at peak over a (6,3) matroid corpus."""
+        if not hasattr(self, "_masks"):
+            edges = self.sorted_edges()
+            check_budget(budget, MASK_WORD_BUDGET, lambda cap: ((e[-1] >> 6) + 1 for e in edges),
+                         f"vertex masks of {len(edges)} edges in >= {{count}} 64-bit words")
+            object.__setattr__(self, "_masks", list(map(_vertex_mask, edges)))
+        return self._masks
+
     def non_edges(self, budget: Optional[int] = None) -> list[KSet]:
         """All k-subsets of [1, n] not in the edge set, lexicographic, gated by all_ksets."""
         return [g for g in all_ksets(self.n, self.k, budget) if g not in self.edges]
@@ -210,7 +228,7 @@ class Partition:
             if seen & set(p):
                 raise InvalidPartition(f"part {p} overlaps an earlier part")
             seen.update(p)
-        if seen != set(range(1, n + 1)):
+        if len(seen) != n or min(seen, default=1) < 1 or max(seen, default=n) > n:  # so seen is 1..n
             raise InvalidPartition(f"parts do not cover 1..{n} exactly")
 
 
@@ -339,13 +357,12 @@ def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Exc
     """First exchange witness in lexicographic (e1, e2, v1, v2) order, or None.
     The |E|^2 ordered edge pairs times k^2 swaps are gated first
     (PAIR_SCAN_BUDGET when budget is None)."""
-    edges = h.sorted_edges()
-    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(edges) ** 2 * h.k ** 2],
-                 f"exchange scan of {len(edges)} edges")
-    masks = [_vertex_mask(e) for e in edges]
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2 * h.k ** 2],
+                 f"exchange scan of {len(h.edges)} edges")
+    masks = h.edge_masks(budget)
     present = set(masks)
-    for i, s1 in enumerate(masks):
-        for j, s2 in enumerate(masks):
+    for s1 in masks:
+        for s2 in masks:
             only1 = s1 & ~s2
             while only1:
                 b1, only1 = only1 & -only1, only1 & (only1 - 1)
@@ -353,7 +370,7 @@ def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Exc
                 while only2:
                     b2, only2 = only2 & -only2, only2 & (only2 - 1)
                     if (s1 ^ b1 | b2) not in present and (s2 ^ b2 | b1) not in present:
-                        return ExchangeWitness(edges[i], edges[j], b1.bit_length() - 1, b2.bit_length() - 1)
+                        return ExchangeWitness(_mask_kset(s1), _mask_kset(s2), b1.bit_length() - 1, b2.bit_length() - 1)
     return None
 
 
@@ -366,21 +383,18 @@ def find_summable_quadruple(h: Hypergraph, budget: Optional[int] = None) -> Opti
     universe behind the non-edges, then the pairs walked, are gated first
     (KSET_BUDGET and PAIR_SCAN_BUDGET when budget is None).
     """
-    edges = h.sorted_edges()
     non = h.non_edges(budget)
     check_budget(budget, PAIR_SCAN_BUDGET,
-                 lambda cap: [capped_comb(len(non), 2, cap), capped_comb(len(edges), 2, cap)],
-                 f"summable-quadruple scan of {len(edges)} edges and {len(non)} non-edges")
-    non_masks = [_vertex_mask(g) for g in non]
-    first_pair: dict[tuple[int, int], tuple[int, int]] = {}  # signature -> first non-edge index pair
-    for pair in combinations(range(len(non)), 2):
-        a, b = non_masks[pair[0]], non_masks[pair[1]]
-        first_pair.setdefault((a & b, a | b), pair)
-    masks = [_vertex_mask(e) for e in edges]
-    for i, j in combinations(range(len(edges)), 2):
-        hit = first_pair.get((masks[i] & masks[j], masks[i] | masks[j]))
+                 lambda cap: [capped_comb(len(non), 2, cap), capped_comb(len(h.edges), 2, cap)],
+                 f"summable-quadruple scan of {len(h.edges)} edges and {len(non)} non-edges")
+    masks = h.edge_masks(budget)
+    first_pair: dict[tuple[int, int], tuple[int, int]] = {}  # signature -> first non-edge mask pair
+    for pair in combinations(map(_vertex_mask, non), 2):  # a pair tuple is kept only when stored
+        first_pair.setdefault((pair[0] & pair[1], pair[0] | pair[1]), pair)
+    for s1, s2 in combinations(masks, 2):
+        hit = first_pair.get((s1 & s2, s1 | s2))
         if hit is not None:
-            return SummableQuadruple(edges[i], edges[j], non[hit[0]], non[hit[1]])
+            return SummableQuadruple(*map(_mask_kset, (s1, s2, *hit)))
     return None
 
 
@@ -431,7 +445,7 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
                        * capped_comb(s, 2 * s - u, cap) * capped_comb(n - u, k - s, cap))
 
     check_budget(budget, PAIR_SCAN_BUDGET, work, f"{r}-monotone scan on n={n}, k={k}")
-    present = {_vertex_mask(e) for e in h.edges}
+    present = set(h.edge_masks(budget))
     vertices = [1 << v for v in range(1, n + 1)]
     for size in range(1, r):
         for r1, r2 in combinations([sum(c) for c in combinations(vertices, size)], 2):

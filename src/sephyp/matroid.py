@@ -28,8 +28,8 @@ from .hypercore import (PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Gf2Matrix, Graph, 
 
 
 def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
-    """First (i1, i2, v1), in list order and then ascending v1, such that no
-    v2 in sets[i2] - sets[i1] makes sets[i1] - v1 + v2 one of the sets; or None.
+    """First (s1, s2, v1), in list order and then ascending v1, such that no
+    v2 in s2 - s1 makes s1 - v1 + v2 one of the sets; or None.
 
     The sets are vertex masks (see _vertex_mask). This is the one
     basis-exchange loop: exchange_violation and the harness mask filter call it.
@@ -48,7 +48,7 @@ def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
                         break
                     rest ^= b2
                 else:
-                    return sets.index(s1), sets.index(s2), b1.bit_length() - 1
+                    return s1, s2, b1.bit_length() - 1
                 only1 ^= b1
     return None
 
@@ -64,10 +64,10 @@ def _mask_is_paving(sets: Iterable[int], n: int, k: int) -> bool:
 def exchange_violation(h: Hypergraph, budget: Optional[int] = None) -> Optional[tuple[KSet, KSet, int]]:
     """Lexicographically first (E1, E2, v1) with no valid exchange, or None.
     The |B|^2 ordered basis pairs are gated first (PAIR_SCAN_BUDGET when None)."""
-    edges = h.sorted_edges()
-    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(edges) ** 2], f"basis exchange scan of {len(edges)} bases")
-    bad = _mask_exchange_violation([_vertex_mask(e) for e in edges])
-    return None if bad is None else (edges[bad[0]], edges[bad[1]], bad[2])
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2],
+                 f"basis exchange scan of {len(h.edges)} bases")
+    bad = _mask_exchange_violation(h.edge_masks(budget))
+    return None if bad is None else (_mask_kset(bad[0]), _mask_kset(bad[1]), bad[2])
 
 
 def is_matroid(h: Hypergraph) -> bool:
@@ -102,16 +102,17 @@ class BasisMatroid:
         return self.carrier.k
 
     @cached_property
-    def base_masks(self) -> tuple[int, ...]:
-        return tuple(_vertex_mask(e) for e in self.carrier.sorted_edges())
+    def _loops(self) -> frozenset[int]:
+        covered = reduce(or_, self.carrier.edge_masks())
+        return frozenset(v for v in range(1, self.n + 1) if not covered >> v & 1)
 
     @cached_property
     def _circuits(self) -> tuple[int, ...]:
         """Every circuit as a vertex mask, ascending by size then lex: each C(e, B) for a basis B and e outside it.
         x is in C(e, B) iff B - x + e is independent: it breaks the one circuit in B + e iff x is on it.
         Every circuit C is C(e, B) for e in C and any basis B containing C - e: B avoids e as C is dependent."""
-        present, ground = set(self.base_masks), (1 << self.n + 1) - 2
-        found = {_fundamental_mask(present, b, 1 << e) for b in self.base_masks for e in _mask_kset(ground & ~b)}
+        present, ground = set(self.carrier.edge_masks()), (1 << self.n + 1) - 2
+        found = {_fundamental_mask(present, b, 1 << e) for b in present for e in _mask_kset(ground & ~b)}
         return tuple(sorted(found, key=lambda c: (c.bit_count(), _mask_kset(c))))
 
 
@@ -179,7 +180,7 @@ def is_independent(m: BasisMatroid, s: Iterable[int]) -> bool:
     if not all(1 <= v <= m.n for v in vertices):
         return False
     mask = _vertex_mask(vertices)
-    return mask.bit_count() <= m.k and any(mask & b == mask for b in m.base_masks)
+    return mask.bit_count() <= m.k and any(mask & b == mask for b in m.carrier.edge_masks())
 
 
 def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:
@@ -190,13 +191,12 @@ def loops(m: BasisMatroid, budget: Optional[int] = None) -> frozenset[int]:
     """Vertices contained in no basis; the n vertices it sifts are gated first
     (VERTEX_LIST_BUDGET when None)."""
     check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"loops among {m.n} vertices")
-    covered = reduce(or_, m.base_masks)
-    return frozenset(v for v in range(1, m.n + 1) if not covered >> v & 1)
+    return m._loops
 
 
 def coloops(m: BasisMatroid) -> frozenset[int]:
     """Vertices contained in every basis."""
-    return frozenset(_mask_kset(reduce(and_, m.base_masks)))
+    return frozenset(_mask_kset(reduce(and_, m.carrier.edge_masks())))
 
 
 def _minor(m: BasisMatroid, v: int, through: bool, what: str) -> tuple[BasisMatroid, dict[int, int]]:
@@ -209,7 +209,7 @@ def _minor(m: BasisMatroid, v: int, through: bool, what: str) -> tuple[BasisMatr
     if new_k < 1 or new_k >= m.n - 1:
         raise RankCollapse(f"{what} leaves k={new_k} on {m.n - 1} vertices")
     low = (1 << v) - 1
-    kept = (b for b in m.base_masks if (b >> v & 1) == through)
+    kept = (b for b in m.carrier.edge_masks() if (b >> v & 1) == through)
     renamed = frozenset(_mask_kset((b & low) | (b >> 1 & ~low)) for b in kept)
     mapping = {w: (w if w < v else w - 1) for w in range(1, m.n + 1) if w != v}
     return BasisMatroid(Hypergraph(m.n - 1, new_k, renamed)), mapping
@@ -232,8 +232,8 @@ def contract(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
 def _circuit_masks(m: BasisMatroid, budget: Optional[int] = None) -> tuple[int, ...]:
     """All circuits as vertex masks, in the order of circuits. The |B|·k·(n-k)
     basis lookups are gated first (PAIR_SCAN_BUDGET when None)."""
-    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(m.base_masks) * m.k * (m.n - m.k)],
-                 f"circuit scan of {len(m.base_masks)} bases on {m.n} elements")
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(m.carrier.edges) * m.k * (m.n - m.k)],
+                 f"circuit scan of {len(m.carrier.edges)} bases on {m.n} elements")
     return m._circuits
 
 
@@ -251,12 +251,12 @@ def fundamental_circuit(m: BasisMatroid, e: KSet, v: int) -> Circuit:
         raise PreconditionViolated(f"{v} already in {e}")
     if not 1 <= v <= m.n:
         raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
-    return Circuit(_mask_kset(_fundamental_mask(set(m.base_masks), _vertex_mask(e), 1 << v)))
+    return Circuit(_mask_kset(_fundamental_mask(set(m.carrier.edge_masks()), _vertex_mask(e), 1 << v)))
 
 
 def is_paving(m: BasisMatroid) -> bool:
     """Whether every (k-1)-subset of the ground set is independent."""
-    return _mask_is_paving(m.base_masks, m.n, m.k)
+    return _mask_is_paving(m.carrier.edge_masks(), m.n, m.k)
 
 
 def is_binary(m: BasisMatroid, budget: Optional[int] = None) -> bool:
@@ -303,9 +303,9 @@ def lines(m: BasisMatroid, budget: Optional[int] = None) -> LineDecomposition:
     lp = loops(m, budget)
     if lp:
         raise HasLoops(f"matroid has loops {sorted(lp)}")
-    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(m.n, 2, cap) * len(m.base_masks)],
-                 f"line scan of {m.n} elements and {len(m.base_masks)} bases")
-    covered = {x | y for b in m.base_masks for x, y in combinations([1 << v for v in _mask_kset(b)], 2)}
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(m.n, 2, cap) * len(m.carrier.edges)],
+                 f"line scan of {m.n} elements and {len(m.carrier.edges)} bases")
+    covered = {x | y for b in m.carrier.edge_masks() for x, y in combinations([1 << v for v in _mask_kset(b)], 2)}
     dep = lambda u, v: (1 << u | 1 << v) not in covered
     parts = _lines_from_dependence(list(range(1, m.n + 1)), dep)
     return LineDecomposition(tuple(parts), sum(1 for p in parts if len(p) >= 2))

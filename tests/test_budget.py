@@ -67,6 +67,9 @@ GATED = {
                                 r"^summable-quadruple scan of 3 edges and 7 non-edges"),
     # ordered edge pairs, the equal ones included, times k^2 swaps
     "is_exchangeable": (lambda b: is_exchangeable(SMALL, b), 3 ** 2 * 2 ** 2, r"^exchange scan of 3 edges"),
+    # one 64-bit word for the mask of (1, 2) and four for that of (64, 199), as 199 >> 6 = 3
+    "edge_masks": (lambda b: Hypergraph.from_edges(200, 2, [(1, 2), (64, 199)]).edge_masks(b), 1 + 4,
+                   r"^vertex masks of 2 edges in >= 5 64-bit words"),
     # support sizes 2t for t <= min(6, 3 edges, 7 non-edges) only
     "find_binary_certificate": (lambda b: find_binary_certificate(SMALL, 12, b),
                                 sum(comb(3, t) + comb(7, t) for t in range(1, 4)),

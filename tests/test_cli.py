@@ -5,7 +5,7 @@ import os
 import resource
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -454,6 +454,30 @@ class TestLargeInstance:
     @pytest.mark.parametrize("argv", [["analyze", "--exchangeable"], ["matroid", "verify"]], ids=" ".join)
     def test_edge_only_commands(self, files, argv):
         assert self.cli(*argv, files[0]).returncode == 0
+
+    # k = 1; a vertex mask is as wide as its largest vertex, whatever n or |E|
+    SPARSE = {"one_edge_at_1e11": (10 ** 11, [[10 ** 11]]),
+              "edges_998001_to_1e6": (10 ** 6, [[v] for v in range(998_001, 10 ** 6 + 1)]),
+              "edges_1_to_2000": (10 ** 6, [[v] for v in range(1, 2001)])}
+    EDGE_SCANS = [["analyze", "FILE", "--exchangeable"],
+                  *(["matroid", sub, "FILE"] for sub in ("verify", "paving", "binary", "lines", "circuits", "loops"))]
+
+    @pytest.mark.parametrize("name, argv, code", [
+        *((name, argv, 65) for name, argv in product(("one_edge_at_1e11", "edges_998001_to_1e6"), EDGE_SCANS)),
+        # 2000^2 edge pairs pass the exchange gate at its bound, and the masks take 33k words
+        ("edges_1_to_2000", ["analyze", "FILE", "--exchangeable"], 0),
+        # the partition is checked against n without listing 1..n
+        ("one_edge_at_1e11", ["analyze", "FILE", "--multipartite", "PARTITION"], 66),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_masks_of_high_vertices(self, tmp_path, name, argv, code):
+        paths = {"FILE": tmp_path / "sparse.json", "PARTITION": tmp_path / "partition.json"}
+        n, edges = self.SPARSE[name]
+        paths["FILE"].write_text(json.dumps({"type": "hypergraph", "n": n, "k": 1, "edges": edges}))
+        paths["PARTITION"].write_text(json.dumps({"parts": [[1]]}))
+        done = self.cli(*(str(paths.get(a, a)) for a in argv))
+        assert done.returncode == code, done.stderr.decode()
+        if code == 65:
+            assert done.stderr.startswith(b"budget exceeded: vertex masks of ")
 
     def test_paving_of_one_basis(self, tmp_path):
         # paving is read off the bases' (k-1)-subsets, not the C(40,19) universe

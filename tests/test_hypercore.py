@@ -51,6 +51,11 @@ class TestHypergraphConstruction:
         h = Hypergraph.from_edges(4, 2, [(2, 1), (4, 3)])
         assert h.sorted_edges() == [(1, 2), (3, 4)]
 
+    def test_edge_masks_gated_at_their_first_build_only(self):
+        h = Hypergraph.from_edges(200, 2, [(1, 2), (64, 199)])  # 1 + 4 64-bit words
+        masks = h.edge_masks()
+        assert h.edge_masks(0) is masks
+
 
 class TestComplementDual:
     def test_complement_of_empty_is_complete(self):

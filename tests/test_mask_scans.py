@@ -395,7 +395,7 @@ def reference_circuit_scan(m):
             c = sum(cand)
             if any(f & c == f for f in found):
                 continue
-            if not (size <= m.k and any(c & b == c for b in m.base_masks)):
+            if not (size <= m.k and any(c & b == c for b in m.carrier.edge_masks())):
                 found.append(c)
     return tuple(tuple(v for v in range(1, m.n + 1) if c >> v & 1) for c in found)
 

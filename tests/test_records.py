@@ -155,9 +155,15 @@ def test_vars_is_the_twins_asdict(cls):
 
 def test_cached_properties_leave_equality_and_hash_alone():
     cached, fresh = BasisMatroid(K4), BasisMatroid(K4)
-    assert cached.base_masks and cached._circuits
+    assert cached._loops == frozenset() and cached._circuits
     assert (cached == fresh, hash(cached) == hash(fresh), repr(cached) == repr(fresh)) == (True, True, True)
     assert BasisMatroid(carrier=K4_LESS, budget=16) == BasisMatroid(K4_LESS)
+    # a hypergraph keeps its edge-mask view outside its fields and its __dict__
+    viewed, plain = Hypergraph(4, 2, K4.edges), Hypergraph(4, 2, K4.edges)
+    assert viewed.edge_masks() == [0b110, 0b1010, 0b10010, 0b1100, 0b10100, 0b11000]
+    assert viewed.edge_masks() is viewed.edge_masks()
+    assert (viewed == plain, hash(viewed) == hash(plain), repr(viewed) == repr(plain)) == (True, True, True)
+    assert vars(viewed) == vars(plain) == {"n": 4, "k": 2, "edges": K4.edges}
 
 
 def test_post_init_runs_through_attribute_lookup(monkeypatch):
