@@ -58,7 +58,6 @@ from .errors import (
 )
 from .hypercore import (
     CLASSES,
-    Hypergraph,
     find_summable_quadruple,
     graph_orderable,
     is_exchangeable,
@@ -112,30 +111,28 @@ def _read(path: str) -> str:
         raise FormatError(f"{path} is not UTF-8: {exc}")
 
 
-def _load_matroid(path: str, kind: str, instance, budget: Optional[int]):
-    """A gf2 or graph instance's matroid (None for a free GF(2) matroid) and oracle."""
-    from .matroid import from_gf2_matrix, from_graph, oracle_from_matroid
-
-    try:
-        if kind == "gf2":
-            return from_gf2_matrix(instance, budget)
-        matroid = from_graph(instance, budget)
-        return matroid, oracle_from_matroid(matroid)
-    except (RankZero, RankCollapse) as exc:
-        raise FormatError(f"{path}: {exc}")
-
-
-def _load_hypergraph(path: str, budget: Optional[int]) -> Hypergraph:
-    """Parse an instance file and materialize it to a hypergraph."""
+def _load(path: str, budget: Optional[int], allow_free: bool = False):
+    """Parse an instance file into (hypergraph, matroid, oracle), each built once: (h, None, None) for a
+    hypergraph, the bases, matroid and oracle of a gf2 or graph file. A free GF(2) matroid has no 1 <= k < n
+    hypergraph: it is refused, or with allow_free gives (the matrix, None, oracle)."""
     from .jsonio import parse_instance
 
     kind, instance = parse_instance(_read(path))
     if kind == "hypergraph":
-        return instance
-    matroid, _ = _load_matroid(path, kind, instance, budget)
-    if matroid is None:
+        return instance, None, None
+    from .matroid import from_gf2_matrix, from_graph, oracle_from_matroid
+
+    try:
+        if kind == "gf2":
+            matroid, oracle = from_gf2_matrix(instance, budget)
+        else:
+            matroid = from_graph(instance, budget)
+            oracle = oracle_from_matroid(matroid)
+    except (RankZero, RankCollapse) as exc:
+        raise FormatError(f"{path}: {exc}")
+    if matroid is None and not allow_free:
         raise FormatError(f"{path}: GF(2) rank equals column count; no 1 <= k < n hypergraph exists")
-    return matroid.carrier
+    return (instance if matroid is None else matroid.carrier), matroid, oracle
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_obj: dict) -> None:
@@ -159,7 +156,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     from .feasibility import decide, decide_fm
     from .jsonio import certificate_obj, dumps
 
-    h = _load_hypergraph(args.path, args.budget)
+    h = _load(args.path, args.budget)[0]
     if args.method == "fm":
         cert = decide_fm(h)
     else:
@@ -178,7 +175,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .feasibility import SeparableCertificate, equatable_violation, separating_violation
     from .jsonio import parse_certificate
 
-    h = _load_hypergraph(args.instance, args.budget)
+    h = _load(args.instance, args.budget)[0]
     cert = parse_certificate(_read(args.certificate))
     if isinstance(cert, SeparableCertificate):
         if len(cert.x) != h.n:
@@ -201,7 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.path, args.budget)
+    h = _load(args.path, args.budget)[0]
     lines_out: list[str] = []
     obj: dict = {}
     if args.exchangeable:
@@ -237,12 +234,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_matroid(args: argparse.Namespace) -> int:
     from .matroid import BasisMatroid, circuits, exchange_violation, is_binary, is_paving, lines, loops
 
-    h = _load_hypergraph(args.path, args.budget)
+    h, m, _ = _load(args.path, args.budget)
     if args.subcommand == "verify":
         if not h.edges:
             _emit(args, ["matroid: no (empty edge set)"], {"matroid": False, "violation": "empty"})
             return EXIT_OK
-        bad = exchange_violation(h, args.budget)
+        bad = exchange_violation(h, args.budget) if m is None else None  # a loaded matroid passed it when built
         if bad is not None:
             _emit(
                 args,
@@ -253,7 +250,8 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
         _emit(args, ["matroid: yes"], {"matroid": True})
         return EXIT_OK
 
-    m = BasisMatroid(h, args.budget)  # NotAMatroid -> exit 67
+    if m is None:
+        m = BasisMatroid(h, args.budget)  # NotAMatroid -> exit 67
     if args.subcommand == "paving":
         result = is_paving(m)
         _emit(args, [f"paving: {'yes' if result else 'no'}"], {"paving": result})
@@ -279,14 +277,12 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_decide(args: argparse.Namespace) -> int:
     from .feasibility import decide
-    from .jsonio import parse_instance
     from .oracle_algorithms import decide_binary_via_oracle
 
-    kind, instance = parse_instance(_read(args.path))
-    if kind == "hypergraph":
+    instance, matroid, oracle = _load(args.path, args.budget, allow_free=True)
+    if oracle is None:
         raise Inapplicable("oracle-decide requires a gf2 or graph instance")
-    matroid, oracle = _load_matroid(args.path, kind, instance, args.budget)
-    # from_gf2_matrix returns no matroid exactly when the rank equals the column count
+    # a free GF(2) matroid has no BasisMatroid; its rank is its column count
     n, k = (matroid.n, matroid.k) if matroid is not None else (instance.cols, instance.cols)
     oracle.max_queries = args.max_queries
     decision = decide_binary_via_oracle(n, k, oracle)
@@ -360,7 +356,7 @@ def _cmd_search_cert(args: argparse.Namespace) -> int:
     from .feasibility import EquatableCertificate, find_binary_certificate
     from .jsonio import certificate_obj
 
-    h = _load_hypergraph(args.path, args.budget)
+    h = _load(args.path, args.budget)[0]
     support = args.max_support if args.max_support is not None else 2 * h.k
     labeling = find_binary_certificate(h, support, args.budget)
     if labeling is None:

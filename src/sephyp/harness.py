@@ -150,7 +150,8 @@ def _linear_subclasses(spans: dict[int, int], bases: list[int], k: int) -> Itera
     the spans of the hyperplanes outside L, ascending. L is closed under: two
     members through a coline (a rank k-2 flat) put every hyperplane through
     it in L. Hyperplanes are decided in descending order of their disjoint
-    spans, each first in L, so the unions come out ascending."""
+    spans, each first in L, so the unions come out ascending. The walk keeps a
+    stack: a closure calling itself would leave a reference cycle per call."""
     hyps = sorted(spans, key=spans.__getitem__, reverse=True)
     pencils: dict[int, int] = {}  # coline -> bits of the hyperplanes through it
     for a, b in combinations(hyps, 2):
@@ -158,17 +159,16 @@ def _linear_subclasses(spans: dict[int, int], bases: list[int], k: int) -> Itera
         if x not in pencils and max((s & x).bit_count() for s in bases) == k - 2:
             pencils[x] = sum(1 << i for i, h in enumerate(hyps) if h & x == x)
     through = [[p for p in pencils.values() if p >> i & 1] for i in range(len(hyps))]
-
-    def walk(i: int, inside: int, low: int) -> Iterator[int]:
+    stack = [(0, 0, 0)]  # hyperplanes decided, those put in L, union of the spans of those outside it
+    while stack:
+        i, inside, low = stack.pop()
         if i == len(hyps):
             yield low
-            return
-        for now_in, now_low in ((inside | 1 << i, low), (inside, low | spans[hyps[i]])):
+            continue
+        for now_in, now_low in ((inside, low | spans[hyps[i]]), (inside | 1 << i, low)):  # in L pushed last
             out = ((2 << i) - 1) & ~now_in  # decided and outside L
             if all((now_in & p).bit_count() < 2 or not out & p for p in through[i]):
-                yield from walk(i + 1, now_in, now_low)
-
-    return walk(0, 0, 0)
+                stack.append((i + 1, now_in, now_low))
 
 
 def enumerate_hypergraphs(n: int, k: int, budget: Optional[int] = None) -> Iterator[Hypergraph]:

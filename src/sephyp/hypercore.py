@@ -6,6 +6,9 @@ k-tuple of vertices. All operations are pure functions over immutable
 values, and every search runs in lexicographic order so that returned
 witnesses are stable across runs.
 
+Hypergraph.__post_init__ is the one place an edge is validated, whoever
+builds the hypergraph: from_edges only sorts edges and names a duplicate.
+
 Scans run on vertex masks, ints with bit v set for each vertex v
 (_vertex_mask); KSet tuples appear only at the API boundary, in arguments
 and return values. Masks are walked in ascending bit, that is vertex, order.
@@ -21,8 +24,8 @@ exec that @dataclass spends on each class, together 12-22 ms of a child.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import accumulate, combinations
-from operator import attrgetter
+from itertools import accumulate, chain, combinations
+from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, FormatError, InvalidPartition, NotAGraph
@@ -37,7 +40,7 @@ MASK_WORD_BUDGET = 4_000_000  # 64-bit words of Hypergraph.edge_masks, one per 6
 CERT_SEARCH_BUDGET = 5_000_000  # support combinations of find_binary_certificate
 FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage
-VERTEX_LIST_BUDGET = 1_000_000  # vertices, n, listed by matroid.loops and graph_orderable
+VERTEX_LIST_BUDGET = 1_000_000  # vertices, n, listed by matroid.loops, graph_orderable and a minor's mapping
 ORBIT_TABLE_BUDGET = 200_000  # permutation-table entries, n!·C(n,k), of a harness orbit decider; SEPHYP_BUDGET leaves it
 
 # The instance classes harness.run_enumeration walks.
@@ -128,16 +131,33 @@ def _mask_kset(mask: int) -> KSet:
     return tuple(out)
 
 
-def canonical_kset(elements: Iterable[int], n: int, k: int) -> KSet:
-    """Sort and validate a k-subset of [1, n]; raises FormatError if unusable."""
-    t = tuple(sorted(elements))
-    if len(t) != k:
-        raise FormatError(f"edge {t} has {len(t)} elements, expected {k}")
-    if len(set(t)) != k:
-        raise FormatError(f"edge {t} has repeated vertices")
-    if t and (t[0] < 1 or t[-1] > n):
-        raise FormatError(f"edge {t} has vertices outside 1..{n}")
-    return t
+def _edge_fault(edges: frozenset, n: int, k: int) -> Optional[str]:
+    """Why the lexicographically first bad edge fails, or None when every edge is a strictly increasing k-tuple
+    of ints in 1..n. Valid edges cost one loop (all() over a generator cost 10% more on small hypergraphs)
+    and one pass over their vertices' types; only a failure sorts the edges."""
+    try:
+        for e in edges:
+            if not (type(e) is tuple and len(e) == k and 0 < e[0] and e[-1] <= n and all(map(lt, e, e[1:]))):
+                break
+        else:
+            if {int}.issuperset(map(type, chain.from_iterable(edges))):
+                return None
+    except (TypeError, IndexError):  # vertices that do not compare with ints, or an edge () at k = 0
+        pass
+    ints = lambda e: type(e) is tuple and {int}.issuperset(map(type, e))
+    for e in sorted(edges, key=lambda e: (0, e) if ints(e) else (1, repr(e))):
+        if not ints(e):
+            return f"edge {e!r} is not a tuple of integers"
+        t = tuple(sorted(e))
+        if len(t) != k:
+            return f"edge {t} has {len(t)} elements, expected {k}"
+        if len(set(t)) != k:
+            return f"edge {t} has repeated vertices"
+        if t and (t[0] < 1 or t[-1] > n):
+            return f"edge {t} has vertices outside 1..{n}"
+        if t != e:
+            return f"edge {e} is not a sorted {k}-tuple"
+    return None
 
 
 def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
@@ -166,28 +186,31 @@ class Hypergraph:
     edges: frozenset[KSet]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.k, int)):
+        """The one edge validator (see _edge_fault). Edges are checked before 1 <= k < n, so that a file
+        wrong in both names its edge, as it always has."""
+        n, k, edges = self.n, self.k, self.edges
+        if not (isinstance(n, int) and isinstance(k, int)):
             raise FormatError("n and k must be integers")
-        if not 1 <= self.k < self.n:
-            raise FormatError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        if not isinstance(self.edges, frozenset):
+        if not isinstance(edges, frozenset):
             raise FormatError("edges must be a frozenset of sorted tuples")
-        for e in self.edges:
-            if e != canonical_kset(e, self.n, self.k):
-                raise FormatError(f"edge {e} is not a sorted {self.k}-tuple")
+        fault = _edge_fault(edges, n, k)
+        if fault:
+            raise FormatError(fault)
+        if not 1 <= k < n:
+            raise FormatError(f"need 1 <= k < n, got k={k}, n={n}")
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        """Build from any iterable of edges; duplicates are a format error."""
-        canon = [canonical_kset(e, n, k) for e in edges]
-        dedup = frozenset(canon)
-        if len(dedup) != len(canon):
-            seen: set[KSet] = set()
-            for e in canon:
-                if e in seen:
-                    raise FormatError(f"duplicate edge {e}")
-                seen.add(e)
-        return cls(n, k, dedup)
+        """Build from any iterable of edges, each sorted here; a duplicate is a format error."""
+        try:
+            canon = [tuple(sorted(e)) for e in edges]
+        except TypeError as exc:  # an edge that is not iterable, or whose vertices do not compare
+            raise FormatError(f"edges must be iterables of integers: {exc}")
+        h = cls(n, k, frozenset(canon))
+        if len(h.edges) != len(canon):  # name the lexicographically first duplicate, as the validator names edges
+            ordered = sorted(canon)
+            raise FormatError(f"duplicate edge {next(a for a, b in zip(ordered, ordered[1:]) if a == b)}")
+        return h
 
     def sorted_edges(self) -> list[KSet]:
         return sorted(self.edges)

@@ -72,7 +72,7 @@ def parse_hypergraph(obj: dict) -> Hypergraph:
                 f"hypergraph: edges[{idx}] = {e} breaks lexicographic order (duplicate or unsorted)"
             )
         edges.append(t)
-    return Hypergraph.from_edges(n, k, edges)
+    return Hypergraph(n, k, frozenset(edges))  # sorted and distinct as checked; the constructor does the rest
 
 
 def hypergraph_obj(h: Hypergraph) -> dict:

@@ -175,12 +175,15 @@ class IndependenceOracle:
 
 
 def is_independent(m: BasisMatroid, s: Iterable[int]) -> bool:
-    """Whether s is contained in some basis; a vertex outside 1..n is in none."""
+    """Whether s is contained in some basis. A vertex outside 1..n, or above every basis, is in none, so s's
+    mask is built only when it is no wider than the widest basis mask of the edge_masks view."""
+    masks = m.carrier.edge_masks()
+    top = max(masks).bit_length()  # one past the largest vertex of any basis
     vertices = tuple(s)
-    if not all(1 <= v <= m.n for v in vertices):
+    if not all(1 <= v < top for v in vertices):
         return False
     mask = _vertex_mask(vertices)
-    return mask.bit_count() <= m.k and any(mask & b == mask for b in m.carrier.edge_masks())
+    return mask.bit_count() <= m.k and any(mask & b == mask for b in masks)
 
 
 def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:
@@ -199,34 +202,37 @@ def coloops(m: BasisMatroid) -> frozenset[int]:
     return frozenset(_mask_kset(reduce(and_, m.carrier.edge_masks())))
 
 
-def _minor(m: BasisMatroid, v: int, through: bool, what: str) -> tuple[BasisMatroid, dict[int, int]]:
+def _minor(m: BasisMatroid, v: int, through: bool, what: str,
+           budget: Optional[int]) -> tuple[BasisMatroid, dict[int, int]]:
     """The minor of rank k - through on the bases that contain v (through) or
     avoid it, less v, its ground set renumbered densely (indices above v
-    shift down), and the old-to-new vertex mapping."""
+    shift down), and the old-to-new vertex mapping. The n vertices the
+    mapping lists are gated first (VERTEX_LIST_BUDGET when None)."""
     if not 1 <= v <= m.n:
         raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
     new_k = m.k - through
     if new_k < 1 or new_k >= m.n - 1:
         raise RankCollapse(f"{what} leaves k={new_k} on {m.n - 1} vertices")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"{what} mapping of {m.n} vertices")
     low = (1 << v) - 1
     kept = (b for b in m.carrier.edge_masks() if (b >> v & 1) == through)
     renamed = frozenset(_mask_kset((b & low) | (b >> 1 & ~low)) for b in kept)
     mapping = {w: (w if w < v else w - 1) for w in range(1, m.n + 1) if w != v}
-    return BasisMatroid(Hypergraph(m.n - 1, new_k, renamed)), mapping
+    return BasisMatroid(Hypergraph(m.n - 1, new_k, renamed), budget), mapping
 
 
-def delete(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
+def delete(m: BasisMatroid, v: int, budget: Optional[int] = None) -> tuple[BasisMatroid, dict[int, int]]:
     """Deletion minor and the old-to-new vertex mapping; drops rank by one
     exactly when v is a coloop, whose deletion equals its contraction. The
     ground set is renumbered densely: indices above v shift down."""
-    return _minor(m, v, v in coloops(m), "deletion")
+    return _minor(m, v, v in coloops(m), "deletion", budget)
 
 
-def contract(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
+def contract(m: BasisMatroid, v: int, budget: Optional[int] = None) -> tuple[BasisMatroid, dict[int, int]]:
     """Contraction minor and its vertex mapping, renumbered as in delete;
     keeps rank exactly when v is a loop, whose contraction equals its
     deletion."""
-    return _minor(m, v, v not in loops(m), "contraction")
+    return _minor(m, v, v not in loops(m, budget), "contraction", budget)
 
 
 def _circuit_masks(m: BasisMatroid, budget: Optional[int] = None) -> tuple[int, ...]:

@@ -92,13 +92,11 @@ def decide_binary_via_oracle(n: int, k: int, oracle: IndependenceOracle) -> Orac
 
 def _pair_verdict(n: int, k: int, oracle: IndependenceOracle) -> str:
     """The verdict of decide_binary_via_oracle for k >= 2."""
-    dep: dict[frozenset[int], bool] = {}
-    for u, v in combinations(range(1, n + 1), 2):
-        dep[frozenset((u, v))] = not oracle.query((u, v))
-    nonloops = [
-        v for v in range(1, n + 1)
-        if any(not dep[frozenset((v, u))] for u in range(1, n + 1) if u != v)
-    ]
+    for pair in combinations(range(1, n + 1), 2):
+        oracle.query(pair)
+    # every pair is cached now, and a cache hit adds no query or trace entry
+    dep = lambda a, b: not oracle.query((a, b))
+    nonloops = [v for v in range(1, n + 1) if any(not dep(v, u) for u in range(1, n + 1) if u != v)]
     n2 = len(nonloops)
     if n2 < k:
         raise OracleInconsistent(f"only {n2} non-loops for promised rank {k}")
@@ -106,7 +104,7 @@ def _pair_verdict(n: int, k: int, oracle: IndependenceOracle) -> str:
         return SEPARABLE
 
     try:
-        parts = _lines_from_dependence(nonloops, lambda a, b: dep[frozenset((a, b))])
+        parts = _lines_from_dependence(nonloops, dep)
     except NotAMatroid as exc:
         raise OracleInconsistent(str(exc)) from exc
 

@@ -4,9 +4,10 @@ universe holds, the 2^C(n,k) instances an enumeration walks, the |B|·k·(n-k)
 basis lookups behind circuits and is_binary, the pairs the summable-quadruple
 scan walks, the edge pairs times swaps of the exchange scan, the ordered basis
 pairs of the basis-exchange check, the element pairs times bases lines scans,
-the combinations the certificate search walks, the n vertices loops and
-graph_orderable list, the r-monotone scan's pairs and lookups, and the
-permutations times k-sets of the harness's orbit tables. The capped binomial behind them is checked against math.comb."""
+the combinations the certificate search walks, the n vertices loops,
+graph_orderable and a minor's vertex mapping list, the r-monotone scan's
+pairs and lookups, and the permutations times k-sets of the harness's orbit
+tables. The capped binomial behind them is checked against math.comb."""
 
 from itertools import combinations, product
 from math import comb, factorial
@@ -24,8 +25,8 @@ from sephyp.hypercore import (
     is_exchangeable,
     is_r_monotone,
 )
-from sephyp.matroid import (BasisMatroid, Gf2Matrix, Graph, circuits, exchange_violation, from_gf2_matrix, from_graph,
-                            is_binary, lines, loops)
+from sephyp.matroid import (BasisMatroid, Gf2Matrix, Graph, circuits, delete, exchange_violation, from_gf2_matrix,
+                            from_graph, is_binary, lines, loops)
 from sephyp.oracle_algorithms import build_adversary
 
 # few bases, so that the constructors' basis-exchange gate, which counts
@@ -37,6 +38,7 @@ DOUBLED_PATH = Graph(4, ((1, 2), (1, 2), (2, 3), (3, 4)))
 # 3 edges and 7 non-edges
 SMALL = Hypergraph.from_edges(5, 2, [(1, 2), (1, 3), (3, 4)])
 U24 = BasisMatroid(Hypergraph.from_edges(4, 2, combinations(range(1, 5), 2)))
+TWO_POINTS = BasisMatroid(Hypergraph.from_edges(4, 1, [(1,), (2,)]))
 
 
 GATED = {
@@ -62,6 +64,8 @@ GATED = {
     "circuits": (lambda b: circuits(U24, b), 6 * 2 * 2, r"^circuit scan of 6 bases on 4 elements"),
     "is_binary": (lambda b: is_binary(U24, b), 6 * 2 * 2, r"^circuit scan of 6 bases on 4 elements"),
     "loops": (lambda b: loops(U24, b), 4, r"^loops among 4 vertices"),
+    # bases {1} and {2} on 4 elements: the minor's one basis passes its own exchange gate at 4
+    "delete": (lambda b: delete(TWO_POINTS, 1, b), 4, r"^deletion mapping of 4 vertices"),
     "graph_orderable": (lambda b: graph_orderable(SMALL, b), 5, r"^ordering 5 vertices"),
     "find_summable_quadruple": (lambda b: find_summable_quadruple(SMALL, b), comb(7, 2) + comb(3, 2),
                                 r"^summable-quadruple scan of 3 edges and 7 non-edges"),

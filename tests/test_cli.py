@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sephyp import harness
+from sephyp import harness, matroid
 from sephyp.cli import main
 
 FX = "fixtures"
@@ -232,6 +232,16 @@ class TestMatroid:
     def test_loops(self, capsys):
         code, out, _ = run(capsys, "matroid", "loops", f"{FX}/paving_five.json")
         assert code == 0 and out.strip() == "loops: []"
+
+    @pytest.mark.parametrize("sub", ["verify", "paving", "binary", "lines", "circuits", "loops"])
+    @pytest.mark.parametrize("path", [f"{FX}/gf2_two_lines.json", f"{FX}/k4_graph.json"])
+    def test_one_exchange_scan_per_command(self, capsys, monkeypatch, path, sub):
+        # the matroid a gf2 or graph file loads as is the one the command reads
+        calls = []
+        scan = matroid._mask_exchange_violation
+        monkeypatch.setattr(matroid, "_mask_exchange_violation", lambda sets: calls.append(sets) or scan(sets))
+        assert run(capsys, "matroid", sub, path)[0] == 0
+        assert len(calls) == 1
 
 
 class TestOracleDecide:

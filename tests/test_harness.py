@@ -1,5 +1,6 @@
 """Enumeration harness: class filters, counts, and the law-check machinery."""
 
+import gc
 import hashlib
 import random
 from itertools import combinations
@@ -107,6 +108,16 @@ class TestMaskTables:
         # OEIS A058673, matroids on n labelled points, summed over ranks 0..n
         totals = [sum(sum(1 for _ in MaskTables(n, k).matroid_masks()) for k in range(n + 1)) for n in range(7)]
         assert totals == [1, 2, 5, 16, 68, 406, 3807]
+
+    def test_generated_matroids_leave_no_cyclic_garbage(self):
+        # each extension walk is freed by reference counting, not left for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            assert sum(1 for _ in harness._matroid_masks(6, 3)) == 2053
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (6, 2), (6, 4)])
     def test_generated_matroids_match_filter(self, n, k):

@@ -1,5 +1,6 @@
 """Combinatorial predicates against hand-verified and brute-force oracles."""
 
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -50,6 +51,32 @@ class TestHypergraphConstruction:
     def test_edges_canonicalized(self):
         h = Hypergraph.from_edges(4, 2, [(2, 1), (4, 3)])
         assert h.sorted_edges() == [(1, 2), (3, 4)]
+
+    @pytest.mark.parametrize("k, edge, message", [
+        (1, (1.5,), "edge (1.5,) is not a tuple of integers"),
+        (2, "ab", "edge 'ab' is not a tuple of integers"),
+        (1, 5, "edge 5 is not a tuple of integers"),
+        (2, (2, 1), "edge (2, 1) is not a sorted 2-tuple"),
+        (2, (2, 2), "edge (2, 2) has repeated vertices"),
+        (3, (1, 2), "edge (1, 2) has 2 elements, expected 3"),
+        (2, (3, 5), "edge (3, 5) has vertices outside 1..4"),
+    ], ids=["float vertex", "string edge", "non-iterable edge", "unsorted", "repeated", "wrong length",
+            "out of range"])
+    def test_validator_names_the_bad_edge(self, k, edge, message):
+        good = tuple(range(1, k + 1))
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            Hypergraph(4, k, frozenset({good, edge}))
+
+    def test_validator_names_the_lexicographically_first_bad_edge(self):
+        # (9, 10) comes first although "(10, 11)" sorts first as text
+        with pytest.raises(FormatError, match=r"^edge \(9, 10\) has vertices outside 1..8$"):
+            Hypergraph(8, 2, frozenset({(1, 2), (10, 11), (9, 10)}))
+
+    def test_from_edges_refuses_an_edge_that_does_not_sort(self):
+        with pytest.raises(FormatError, match=r"^edges must be iterables of integers: 'int' object is not iterable$"):
+            Hypergraph.from_edges(3, 1, [5])
+        with pytest.raises(FormatError, match=r"^edges must be iterables of integers: '<' not supported"):
+            Hypergraph.from_edges(3, 2, [(1, "a")])
 
     def test_edge_masks_gated_at_their_first_build_only(self):
         h = Hypergraph.from_edges(200, 2, [(1, 2), (64, 199)])  # 1 + 4 64-bit words

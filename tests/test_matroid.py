@@ -1,6 +1,11 @@
 """Matroid layer: axiom, minors, circuits, lines, constructors, oracle."""
 
+import os
+import resource
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +143,29 @@ class TestMinors:
             contract(uniform(1, 3), 1)  # rank would hit zero
         with pytest.raises(RankCollapse):
             delete(uniform(2, 3), 1)  # rank 2 on 2 remaining vertices
+
+    def test_wide_ground_set_is_never_listed(self):
+        # n = 10^11 with two one-element bases: a vertex above every basis is
+        # not independent, and a deletion's vertex mapping is refused by its
+        # gate, both without building an n-wide mask or mapping. Run in a
+        # child under a 1.5 GB address-space limit, so that a regression ends
+        # there with a MemoryError instead of allocating here.
+        code = ("from sephyp.errors import BudgetExceeded\n"
+                "from sephyp.hypercore import Hypergraph\n"
+                "from sephyp.matroid import BasisMatroid, delete, is_independent\n"
+                "m = BasisMatroid(Hypergraph(10 ** 11, 1, frozenset({(1,), (2,)})))\n"
+                "print(is_independent(m, [10 ** 11]), is_independent(m, [3]), is_independent(m, [2]))\n"
+                "try:\n"
+                "    delete(m, 1)\n"
+                "except BudgetExceeded as exc:\n"
+                "    print(exc)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("SEPHYP_BUDGET", None)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)))
+        assert (done.returncode, done.stdout) == (0, "False False True\ndeletion mapping of 100000000000 vertices "
+                                                     "exceeds budget 1000000\n"), done.stderr
 
     def test_minors_stay_matroids(self, pav51):
         for v in range(1, 6):
