@@ -112,9 +112,8 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, budget: Optional[int], allow_free: bool = False):
-    """Parse an instance file into (hypergraph, matroid, oracle), each built once: (h, None, None) for a
-    hypergraph, the bases, matroid and oracle of a gf2 or graph file. A free GF(2) matroid has no 1 <= k < n
-    hypergraph: it is refused, or with allow_free gives (the matrix, None, oracle)."""
+    """(hypergraph, matroid, oracle) of an instance file, each built once; (h, None, None) for a hypergraph. A free
+    GF(2) matroid has no 1 <= k < n hypergraph: it is refused, or with allow_free gives (matrix, None, oracle)."""
     from .jsonio import parse_instance
 
     kind, instance = parse_instance(_read(path))
@@ -157,10 +156,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     from .jsonio import certificate_obj, dumps
 
     h = _load(args.path, args.budget)[0]
-    if args.method == "fm":
-        cert = decide_fm(h)
-    else:
-        cert = decide(h, args.budget)
+    cert = decide_fm(h) if args.method == "fm" else decide(h, args.budget)
     if args.certificate_out:
         try:
             with open(args.certificate_out, "w", encoding="utf-8") as fh:
@@ -241,11 +237,8 @@ def _cmd_matroid(args: argparse.Namespace) -> int:
             return EXIT_OK
         bad = exchange_violation(h, args.budget) if m is None else None  # a loaded matroid passed it when built
         if bad is not None:
-            _emit(
-                args,
-                [f"matroid: no (E1={bad[0]} E2={bad[1]} v1={bad[2]} has no exchange)"],
-                {"matroid": False, "violation": dict(zip(("e1", "e2", "v1"), bad))},
-            )
+            _emit(args, [f"matroid: no (E1={bad[0]} E2={bad[1]} v1={bad[2]} has no exchange)"],
+                  {"matroid": False, "violation": dict(zip(("e1", "e2", "v1"), bad))})
             return EXIT_OK
         _emit(args, ["matroid: yes"], {"matroid": True})
         return EXIT_OK
@@ -360,11 +353,8 @@ def _cmd_search_cert(args: argparse.Namespace) -> int:
     support = args.max_support if args.max_support is not None else 2 * h.k
     labeling = find_binary_certificate(h, support, args.budget)
     if labeling is None:
-        _emit(
-            args,
-            [f"no 0/1 certificate with support <= {support} found (not a disproof of existence)"],
-            {"found": False, "max_support": support},
-        )
+        _emit(args, [f"no 0/1 certificate with support <= {support} found (not a disproof of existence)"],
+              {"found": False, "max_support": support})
         return EXIT_OK
     cert = EquatableCertificate(tuple(sorted(labeling.items())))
     _emit(

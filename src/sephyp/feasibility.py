@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError
 from .hypercore import (CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb,
-                        check_budget, record)
+                        _edge_fault, check_budget, record)
 
 SetLabeling = dict[KSet, Fraction]
 
@@ -142,8 +142,7 @@ def verify_separating(h: Hypergraph, x) -> bool:
 def equatable_violation(h: Hypergraph, y: SetLabeling) -> Optional[str]:
     """Human-readable description of the first defect in y, or None if valid."""
     for g in sorted(y):
-        # A k-subset of 1..n is exactly a strictly increasing k-tuple within 1..n.
-        if not (len(g) == h.k and 1 <= g[0] and g[-1] <= h.n and all(a < b for a, b in zip(g, g[1:]))):
+        if _edge_fault(g, h.n, h.k):  # a k-subset of 1..n is exactly a valid edge
             return f"set {g} is not a {h.k}-subset of 1..{h.n}"
         if y[g] < 0:
             return f"set {g} has negative value {y[g]}"

@@ -2,12 +2,9 @@
 (Partition, Gf2Matrix, Graph), and purely combinatorial predicates.
 
 Vertices are the integers 1..n. An edge (KSet) is a strictly increasing
-k-tuple of vertices. All operations are pure functions over immutable
-values, and every search runs in lexicographic order so that returned
-witnesses are stable across runs.
-
-Hypergraph.__post_init__ is the one place an edge is validated, whoever
-builds the hypergraph: from_edges only sorts edges and names a duplicate.
+k-tuple of vertices, validated in one place only, Hypergraph.__post_init__.
+All operations are pure functions over immutable values, and every search
+runs in lexicographic order so that returned witnesses are stable across runs.
 
 Scans run on vertex masks, ints with bit v set for each vertex v
 (_vertex_mask); KSet tuples appear only at the API boundary, in arguments
@@ -131,33 +128,17 @@ def _mask_kset(mask: int) -> KSet:
     return tuple(out)
 
 
-def _edge_fault(edges: frozenset, n: int, k: int) -> Optional[str]:
-    """Why the lexicographically first bad edge fails, or None when every edge is a strictly increasing k-tuple
-    of ints in 1..n. Valid edges cost one loop (all() over a generator cost 10% more on small hypergraphs)
-    and one pass over their vertices' types; only a failure sorts the edges."""
-    try:
-        for e in edges:
-            if not (type(e) is tuple and len(e) == k and 0 < e[0] and e[-1] <= n and all(map(lt, e, e[1:]))):
-                break
-        else:
-            if {int}.issuperset(map(type, chain.from_iterable(edges))):
-                return None
-    except (TypeError, IndexError):  # vertices that do not compare with ints, or an edge () at k = 0
-        pass
-    ints = lambda e: type(e) is tuple and {int}.issuperset(map(type, e))
-    for e in sorted(edges, key=lambda e: (0, e) if ints(e) else (1, repr(e))):
-        if not ints(e):
-            return f"edge {e!r} is not a tuple of integers"
-        t = tuple(sorted(e))
-        if len(t) != k:
-            return f"edge {t} has {len(t)} elements, expected {k}"
-        if len(set(t)) != k:
-            return f"edge {t} has repeated vertices"
-        if t and (t[0] < 1 or t[-1] > n):
-            return f"edge {t} has vertices outside 1..{n}"
-        if t != e:
-            return f"edge {e} is not a sorted {k}-tuple"
-    return None
+def _edge_fault(e: object, n: int, k: int) -> Optional[tuple[tuple, str]]:
+    """None when e is a strictly increasing k-tuple of ints in 1..n, else (order, why): order sorts a non-int
+    edge first, by repr, and then int tuples lexicographically, so min() names the first bad edge."""
+    if type(e) is not tuple or not {int}.issuperset(map(type, e)):
+        return (0, repr(e)), f"edge {e!r} is not a tuple of integers"
+    t = tuple(sorted(e))
+    why = (f"edge {t} has {len(t)} elements, expected {k}" if len(t) != k else
+           f"edge {t} has repeated vertices" if len(set(t)) != k else
+           f"edge {t} has vertices outside 1..{n}" if t and (t[0] < 1 or t[-1] > n) else
+           f"edge {e} is not a sorted {k}-tuple" if t != e else None)
+    return why and ((1, e), why)
 
 
 def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
@@ -186,16 +167,21 @@ class Hypergraph:
     edges: frozenset[KSet]
 
     def __post_init__(self) -> None:
-        """The one edge validator (see _edge_fault). Edges are checked before 1 <= k < n, so that a file
-        wrong in both names its edge, as it always has."""
+        """The one edge validator: one pass over the edges, then _edge_fault only if it fails; as ever, a bad
+        edge is named before a bad k."""
         n, k, edges = self.n, self.k, self.edges
         if not (isinstance(n, int) and isinstance(k, int)):
             raise FormatError("n and k must be integers")
         if not isinstance(edges, frozenset):
             raise FormatError("edges must be a frozenset of sorted tuples")
-        fault = _edge_fault(edges, n, k)
+        try:
+            fine = {int}.issuperset(map(type, chain.from_iterable(edges))) and all(
+                type(e) is tuple and len(e) == k and 0 < e[0] and e[-1] <= n and all(map(lt, e, e[1:])) for e in edges)
+        except (TypeError, IndexError):  # an edge that is not iterable, or () at k = 0
+            fine = False
+        fault = None if fine else min(filter(None, (_edge_fault(e, n, k) for e in edges)), default=None)
         if fault:
-            raise FormatError(fault)
+            raise FormatError(fault[1])
         if not 1 <= k < n:
             raise FormatError(f"need 1 <= k < n, got k={k}, n={n}")
 
@@ -207,9 +193,9 @@ class Hypergraph:
         except TypeError as exc:  # an edge that is not iterable, or whose vertices do not compare
             raise FormatError(f"edges must be iterables of integers: {exc}")
         h = cls(n, k, frozenset(canon))
-        if len(h.edges) != len(canon):  # name the lexicographically first duplicate, as the validator names edges
-            ordered = sorted(canon)
-            raise FormatError(f"duplicate edge {next(a for a, b in zip(ordered, ordered[1:]) if a == b)}")
+        if len(h.edges) != len(canon):
+            seen: set[KSet] = set()
+            raise FormatError(f"duplicate edge {next(e for e in canon if e in seen or seen.add(e))}")
         return h
 
     def sorted_edges(self) -> list[KSet]:

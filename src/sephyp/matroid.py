@@ -102,9 +102,8 @@ class BasisMatroid:
         return self.carrier.k
 
     @cached_property
-    def _loops(self) -> frozenset[int]:
-        covered = reduce(or_, self.carrier.edge_masks())
-        return frozenset(v for v in range(1, self.n + 1) if not covered >> v & 1)
+    def _covered(self) -> int:  # the union of the basis masks: the vertices in some basis
+        return reduce(or_, self.carrier.edge_masks())
 
     @cached_property
     def _circuits(self) -> tuple[int, ...]:
@@ -175,15 +174,13 @@ class IndependenceOracle:
 
 
 def is_independent(m: BasisMatroid, s: Iterable[int]) -> bool:
-    """Whether s is contained in some basis. A vertex outside 1..n, or above every basis, is in none, so s's
-    mask is built only when it is no wider than the widest basis mask of the edge_masks view."""
-    masks = m.carrier.edge_masks()
-    top = max(masks).bit_length()  # one past the largest vertex of any basis
+    """Whether s lies in some basis. Each vertex is first looked up in the union of the bases, so s's mask,
+    built after, is never wider than a basis mask."""
     vertices = tuple(s)
-    if not all(1 <= v < top for v in vertices):
+    if not all(0 < v and m._covered >> v & 1 for v in vertices):
         return False
     mask = _vertex_mask(vertices)
-    return mask.bit_count() <= m.k and any(mask & b == mask for b in masks)
+    return mask.bit_count() <= m.k and any(mask & b == mask for b in m.carrier.edge_masks())
 
 
 def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:
@@ -194,7 +191,7 @@ def loops(m: BasisMatroid, budget: Optional[int] = None) -> frozenset[int]:
     """Vertices contained in no basis; the n vertices it sifts are gated first
     (VERTEX_LIST_BUDGET when None)."""
     check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"loops among {m.n} vertices")
-    return m._loops
+    return frozenset(v for v in range(1, m.n + 1) if not m._covered >> v & 1)
 
 
 def coloops(m: BasisMatroid) -> frozenset[int]:
@@ -203,11 +200,11 @@ def coloops(m: BasisMatroid) -> frozenset[int]:
 
 
 def _minor(m: BasisMatroid, v: int, through: bool, what: str,
-           budget: Optional[int]) -> tuple[BasisMatroid, dict[int, int]]:
+           budget: Optional[int] = None) -> tuple[BasisMatroid, dict[int, int]]:
     """The minor of rank k - through on the bases that contain v (through) or
     avoid it, less v, its ground set renumbered densely (indices above v
-    shift down), and the old-to-new vertex mapping. The n vertices the
-    mapping lists are gated first (VERTEX_LIST_BUDGET when None)."""
+    shift down), and the old-to-new vertex mapping of n entries, gated first
+    (VERTEX_LIST_BUDGET when budget is None)."""
     if not 1 <= v <= m.n:
         raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
     new_k = m.k - through
@@ -218,7 +215,7 @@ def _minor(m: BasisMatroid, v: int, through: bool, what: str,
     kept = (b for b in m.carrier.edge_masks() if (b >> v & 1) == through)
     renamed = frozenset(_mask_kset((b & low) | (b >> 1 & ~low)) for b in kept)
     mapping = {w: (w if w < v else w - 1) for w in range(1, m.n + 1) if w != v}
-    return BasisMatroid(Hypergraph(m.n - 1, new_k, renamed), budget), mapping
+    return BasisMatroid(Hypergraph(m.n - 1, new_k, renamed)), mapping
 
 
 def delete(m: BasisMatroid, v: int, budget: Optional[int] = None) -> tuple[BasisMatroid, dict[int, int]]:
@@ -228,11 +225,11 @@ def delete(m: BasisMatroid, v: int, budget: Optional[int] = None) -> tuple[Basis
     return _minor(m, v, v in coloops(m), "deletion", budget)
 
 
-def contract(m: BasisMatroid, v: int, budget: Optional[int] = None) -> tuple[BasisMatroid, dict[int, int]]:
+def contract(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
     """Contraction minor and its vertex mapping, renumbered as in delete;
     keeps rank exactly when v is a loop, whose contraction equals its
     deletion."""
-    return _minor(m, v, v not in loops(m, budget), "contraction", budget)
+    return _minor(m, v, v not in loops(m), "contraction")
 
 
 def _circuit_masks(m: BasisMatroid, budget: Optional[int] = None) -> tuple[int, ...]:

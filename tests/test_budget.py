@@ -64,7 +64,7 @@ GATED = {
     "circuits": (lambda b: circuits(U24, b), 6 * 2 * 2, r"^circuit scan of 6 bases on 4 elements"),
     "is_binary": (lambda b: is_binary(U24, b), 6 * 2 * 2, r"^circuit scan of 6 bases on 4 elements"),
     "loops": (lambda b: loops(U24, b), 4, r"^loops among 4 vertices"),
-    # bases {1} and {2} on 4 elements: the minor's one basis passes its own exchange gate at 4
+    # bases {1} and {2} on 4 elements: deleting 1 lists a mapping of all 4
     "delete": (lambda b: delete(TWO_POINTS, 1, b), 4, r"^deletion mapping of 4 vertices"),
     "graph_orderable": (lambda b: graph_orderable(SMALL, b), 5, r"^ordering 5 vertices"),
     "find_summable_quadruple": (lambda b: find_summable_quadruple(SMALL, b), comb(7, 2) + comb(3, 2),

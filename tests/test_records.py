@@ -155,7 +155,7 @@ def test_vars_is_the_twins_asdict(cls):
 
 def test_cached_properties_leave_equality_and_hash_alone():
     cached, fresh = BasisMatroid(K4), BasisMatroid(K4)
-    assert cached._loops == frozenset() and cached._circuits
+    assert cached._covered == 0b11110 and cached._circuits
     assert (cached == fresh, hash(cached) == hash(fresh), repr(cached) == repr(fresh)) == (True, True, True)
     assert BasisMatroid(carrier=K4_LESS, budget=16) == BasisMatroid(K4_LESS)
     # a hypergraph keeps its edge-mask view outside its fields and its __dict__
