@@ -4,7 +4,9 @@ All arithmetic is exact: certificates and verifiers use fractions.Fraction.
 The revised simplex in decide() keeps d B^-1, the rhs column and the
 artificial part of the objective row as ints over one shared positive
 denominator d, pricing each k-set column from the k-set itself when it is
-needed. decide_fm() keeps every Fourier-Motzkin row as coprime ints, so
+needed; each column of d B^-1 is one int of fixed-width fields, one per
+row, wide enough by Hadamard's bound for any value the fraction-free pivots
+store. decide_fm() keeps every Fourier-Motzkin row as coprime ints, so
 Fractions appear there only in multipliers, bounds and certificates. There
 is no floating point and no tolerance. A hypergraph is either separable (a
 vertex labeling x realizes the edge set as the k-sets of nonnegative sum) or
@@ -169,6 +171,11 @@ def verify_equatable(h: Hypergraph, y: SetLabeling) -> bool:
     return equatable_violation(h, y) is None
 
 
+def _field_width(n: int, k: int) -> int:
+    """Bits per field of decide()'s packed columns: 2^(w-1) > (k+1)^((n+1)/2)."""
+    return ((k + 1) ** (n + 1)).bit_length() // 2 + 2
+
+
 def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     """Classify h, returning a certificate that has passed its verifier.
 
@@ -178,19 +185,22 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     rule plus the fixed lexicographic column order make the result
     deterministic within a build.
 
-    The simplex is revised and fraction-free (Bareiss). The full int tableau
-    is d times the true one, d being the last pivot (1 at the start); of it
-    only the artificial block, which is d B^-1, the rhs column and the
-    artificial part of the objective row with its rhs cell are stored, all
-    ints. Column j of the full tableau is that block times column j of the
-    equality rows A', and its reduced cost is sum_i (z[i] - d) A'_ij, so
-    both are computed from the k-set's at most k+1 nonzeros when needed.
-    The Bareiss update works column by column, so every stored int equals
-    the one the full tableau would hold; the scan (y-columns, then
-    artificial columns), ratio test and tie-breaks read the same values, so
-    the pivot sequence and the answer are those of the full tableau. Pivots
-    are positive, so d stays positive and signs and ratios are the true
-    ones. Fractions appear only in the answer.
+    The simplex is revised and fraction-free (Edmonds 1967, Bareiss 1968).
+    The full int tableau is d times the true one, d being the last pivot (1
+    at the start); of it only d B^-1, the rhs column and the artificial part
+    of the objective row with its rhs cell are stored. Column j of the full
+    tableau is d B^-1 times column j of the equality rows A', and its
+    reduced cost is sum_i (z[i] - d) A'_ij, both computed from the k-set's
+    at most k+1 nonzeros when needed. Every stored int equals the one the
+    full tableau would hold, so the pivot sequence and the answer are the
+    full tableau's; pivots are positive, so d > 0 and signs and ratios are
+    true. Each column of d B^-1, and the rhs, is one int, row i's entry in
+    field i of w = _field_width(n, k) bits, signed: by Cramer's rule each
+    stored int, d and entering entry is +- an (n+1)-minor of [A' I b], whose
+    columns have norm <= sqrt(k+1), so Hadamard's inequality bounds it by
+    (k+1)^((n+1)/2) < 2^(w-1). Packing is linear, and each field of a
+    column's update numerator is a Bareiss numerator, a multiple of d, so
+    one exact // updates the whole column. Fractions appear only in the answer.
     """
     rows = all_ksets(h.n, h.k, budget)
     m = len(rows)
@@ -200,9 +210,12 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     # edge; +1 for a non-edge, which also has +1 in row n.
     columns = [(-1, idx) if g in h.edges else (1, idx + (n,))
                for g, idx in zip(rows, combinations(range(n), h.k))]
-    # tableau[i] = row i of d B^-1 followed by the rhs cell; the basis starts
-    # as the artificial columns m..m+n, and the rhs is 1 only in row n.
-    tableau = [[int(i == c) for c in range(n + 1)] + [int(i == n)] for i in range(n + 1)]
+    # cols[c] = column c of d B^-1, then the rhs (e_n), packed. With half added
+    # to every field none borrows, so field i of x is ((x + bias) >> w*i & mask) - half.
+    w = _field_width(n, h.k)
+    half, mask, shifts = 1 << w - 1, (1 << w) - 1, range(0, w * (n + 1), w)
+    bias = half * (ones := sum(1 << s for s in shifts))
+    cols = [1 << s for s in shifts] + [1 << w * n]
     basis = [m + i for i in range(n + 1)]
     # Phase-I objective row on the artificial columns plus its rhs cell (minus
     # the objective value). d times the dual price of row i is d - z[i], so
@@ -215,49 +228,46 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
         for pivot_col, (sign, idx) in enumerate(columns):
             cost = sign * sum(map(price, idx))
             if cost < 0:
-                col = [sign * sum(map(row.__getitem__, idx)) for row in tableau]
+                entering = sign * sum(map(cols.__getitem__, idx))
                 break
         else:
             # No y-column prices out: Bland's order goes on to the artificials.
             i = next((i for i in range(n + 1) if z[i] < 0), -1)
             if i < 0:
                 break
-            pivot_col, cost = m + i, z[i]
-            col = [row[i] for row in tableau]
-        # Ratio test rhs_i / coeff_i by cross-multiplication (coefficients
-        # are positive); ties go to the smaller basic column.
-        pivot_row = -1
-        for i, coeff in enumerate(col):
-            if coeff > 0:
-                if pivot_row < 0:
-                    pivot_row = i
-                    continue
-                lhs = tableau[i][-1] * col[pivot_row]
-                rhs = tableau[pivot_row][-1] * coeff
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
-                    pivot_row = i
+            pivot_col, cost, entering = m + i, z[i], cols[i]
+        # Ratio test rhs_i / coeff_i by cross-multiplication over the positive
+        # coefficients, the fields with their top bit set once 1 is taken off;
+        # ties go to the smaller basic column.
+        positive, pivot_row = (entering - ones + bias) & bias, -1
+        eb, rb = entering + bias, cols[-1] + bias
+        while positive:
+            top = positive & -positive
+            positive ^= top
+            i = top.bit_length() // w - 1
+            coeff, b = (eb >> w * i & mask) - half, (rb >> w * i & mask) - half
+            if pivot_row < 0 or b * p < pb * coeff or (b * p == pb * coeff and basis[i] < basis[pivot_row]):
+                pivot_row, p, pb = i, coeff, b
         if pivot_row < 0:
             raise InternalVerificationError("phase-I simplex unbounded")
-        # Integer-preserving update: the pivot row stays as it is, every
-        # other row becomes (p * row - row[c] * prow) / d, exactly by
-        # Sylvester's identity; then d = p.
-        prow = tableau[pivot_row]
-        p = col[pivot_row]
-        for target, f in zip(tableau + [z], col + [cost]):
-            if target is prow:
-                continue
-            if f:
-                target[:] = [(p * a - f * b) // d for a, b in zip(target, prow)]
-            elif p != d:
-                target[:] = [p * a // d for a in target]
+        # Integer-preserving update (Sylvester's identity), then d = p: each
+        # row i but the pivot row becomes (p * row_i - col[i] * prow) / d, so
+        # column c, x, becomes (p * x - prow[c] * low) / d, low being the
+        # entering column with d taken off its pivot field.
+        shift = w * pivot_row
+        prow = [((x + bias) >> shift & mask) - half for x in cols]
+        low = entering - (d << shift)
+        cols = [(p * x - f * low) // d if f else x if p == d else p * x // d for x, f in zip(cols, prow)]
+        z = [(p * a - cost * b) // d for a, b in zip(z, prow)]
         d = p
         basis[pivot_row] = pivot_col
 
     if z[-1] == 0:  # phase-I optimum 0: the alternative system is feasible
         labeling: SetLabeling = {}
+        rhs = [((cols[-1] + bias) >> s & mask) - half for s in shifts]
         for i, j in enumerate(basis):
-            if j < m and tableau[i][-1]:
-                labeling[rows[j]] = Fraction(tableau[i][-1], d)
+            if j < m and rhs[i]:
+                labeling[rows[j]] = Fraction(rhs[i], d)
         return _package_equatable(h, labeling)
 
     # Infeasible: dual values u_i = 1 - reduced cost of artificial i, that is

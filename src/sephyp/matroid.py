@@ -174,13 +174,18 @@ class IndependenceOracle:
 
 
 def is_independent(m: BasisMatroid, s: Iterable[int]) -> bool:
-    """Whether s lies in some basis. Each vertex is first looked up in the union of the bases, so s's mask,
-    built after, is never wider than a basis mask."""
+    """Whether s lies in some basis of m."""
+    return _in_some_edge(m.carrier, m._covered, s)
+
+
+def _in_some_edge(h: Hypergraph, covered: int, s: Iterable[int]) -> bool:
+    """Whether s lies in some edge of h. Each vertex is first looked up in covered, the union of the edge masks,
+    so s's mask, built after, is never wider than an edge mask. Reads no BasisMatroid, so needs none checked."""
     vertices = tuple(s)
-    if not all(0 < v and m._covered >> v & 1 for v in vertices):
+    if not all(0 < v and covered >> v & 1 for v in vertices):
         return False
     mask = _vertex_mask(vertices)
-    return mask.bit_count() <= m.k and any(mask & b == mask for b in m.carrier.edge_masks())
+    return mask.bit_count() <= h.k and any(mask & b == mask for b in h.edge_masks())
 
 
 def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:

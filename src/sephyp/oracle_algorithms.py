@@ -14,13 +14,15 @@ is equally consistent with an equatable paving matroid.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Callable, Optional, Union
 
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError, NotAMatroid, OracleInconsistent
 from .feasibility import decide
 from .hypercore import Hypergraph, KSet, all_ksets, record
-from .matroid import BasisMatroid, IndependenceOracle, _lines_from_dependence, is_independent, is_paving
+from .matroid import BasisMatroid, IndependenceOracle, _in_some_edge, _lines_from_dependence, is_paving
 
 SEPARABLE = "separable"
 EQUATABLE = "equatable"
@@ -152,8 +154,8 @@ def replay_identical(inst: AdversaryInstance, queries: tuple[KSet, ...]) -> bool
     They can differ only on the k-set queries f1 and f2, which is exactly
     what makes any strategy avoiding both unable to tell the instances apart.
     """
-    m1, m2 = BasisMatroid(inst.h1), BasisMatroid(inst.h2)
-    return all(is_independent(m1, q) == is_independent(m2, q) for q in queries)
+    c1, c2 = (reduce(or_, h.edge_masks()) for h in (inst.h1, inst.h2))
+    return all(_in_some_edge(inst.h1, c1, q) == _in_some_edge(inst.h2, c2, q) for q in queries)
 
 
 def run_indistinguishability_check(

@@ -11,6 +11,9 @@ from sephyp.errors import BudgetExceeded
 from sephyp.feasibility import (
     EquatableCertificate,
     SeparableCertificate,
+    _field_width,
+    _package_equatable,
+    _package_separable,
     build_system,
     decide,
     decide_fm,
@@ -343,3 +346,125 @@ class TestGoldenCertificates:
         assert _certificate_digest(_fm_random_corpus(), decide_fm) == (
             "0d4a7550487cf4c851806b9d65cd8b9514e6063a6dfab22e0c5d2f6102021a7d"
         )
+
+
+def _list_tableau_decide(h):
+    """decide() with d B^-1 and the rhs kept as a list of int rows, each
+    updated cell by cell: the simplex before its columns were packed, kept
+    here only as the reference the packed columns must reproduce."""
+    rows = list(combinations(range(1, h.n + 1), h.k))
+    m, n = len(rows), h.n
+    columns = [(-1, idx) if g in h.edges else (1, idx + (n,))
+               for g, idx in zip(rows, combinations(range(n), h.k))]
+    tableau = [[int(i == c) for c in range(n + 1)] + [int(i == n)] for i in range(n + 1)]
+    basis = [m + i for i in range(n + 1)]
+    z = [0] * (n + 1) + [-1]
+    d = 1
+    while True:
+        price = [c - d for c in z].__getitem__
+        for pivot_col, (sign, idx) in enumerate(columns):
+            cost = sign * sum(map(price, idx))
+            if cost < 0:
+                col = [sign * sum(map(row.__getitem__, idx)) for row in tableau]
+                break
+        else:
+            i = next((i for i in range(n + 1) if z[i] < 0), -1)
+            if i < 0:
+                break
+            pivot_col, cost = m + i, z[i]
+            col = [row[i] for row in tableau]
+        pivot_row = -1
+        for i, coeff in enumerate(col):
+            if coeff > 0:
+                if pivot_row < 0:
+                    pivot_row = i
+                    continue
+                lhs = tableau[i][-1] * col[pivot_row]
+                rhs = tableau[pivot_row][-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
+                    pivot_row = i
+        prow = tableau[pivot_row]
+        p = col[pivot_row]
+        for target, f in zip(tableau + [z], col + [cost]):
+            if target is prow:
+                continue
+            if f:
+                target[:] = [(p * a - f * b) // d for a, b in zip(target, prow)]
+            elif p != d:
+                target[:] = [p * a // d for a in target]
+        d = p
+        basis[pivot_row] = pivot_col
+    if z[-1] == 0:
+        return _package_equatable(h, {rows[j]: Fraction(tableau[i][-1], d)
+                                      for i, j in enumerate(basis) if j < m and tableau[i][-1]})
+    return _package_separable(h, [Fraction(d - z[i], d - z[n]) for i in range(n)])
+
+
+def _random_graph(n, seed):
+    rng = random.Random(seed)
+    return Hypergraph(n, 2, frozenset(g for g in combinations(range(1, n + 1), 2) if rng.random() < 0.5))
+
+
+def _decide_random_sample():
+    """Two threshold instances per decide-random stratum (9 <= n <= 11,
+    k in {3, 4}), each also with three k-sets flipped."""
+    rng = random.Random(20261020)
+    sample = []
+    for n, k, _ in product((9, 10, 11), (3, 4), range(2)):
+        ksets = list(combinations(range(1, n + 1), k))
+        edges = _threshold_edges(rng, ksets, n)
+        sample.append(Hypergraph(n, k, frozenset(edges)))
+        sample.append(Hypergraph(n, k, frozenset(edges ^ set(rng.sample(ksets, 3)))))
+    return sample
+
+
+def _bareiss_det(matrix):
+    a = [list(r) for r in matrix]
+    sign, prev = 1, 1
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot], sign = a[pivot], a[c], -sign
+        for r in range(c + 1, len(a)):
+            for j in range(c + 1, len(a)):
+                a[r][j] = (a[r][j] * a[c][c] - a[r][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[-1][-1]
+
+
+class TestPackedTableau:
+    """decide() keeps each column of d B^-1 as one int of fixed-width fields."""
+
+    def test_agrees_with_list_tableau(self):
+        threshold = random.Random(1606)
+        ksets = list(combinations(range(1, 17), 6))
+        edges = _threshold_edges(threshold, ksets, 16)
+        instances = [*enumerate_hypergraphs(5, 3), *_decide_random_sample(),
+                     _random_graph(40, 40), _random_graph(90, 90),
+                     Hypergraph(16, 6, frozenset(edges)), Hypergraph(16, 6, frozenset(edges ^ set(ksets[::997])))]
+        kinds = set()
+        for h in instances:
+            cert = decide(h)
+            assert cert == _list_tableau_decide(h), (h.n, h.k, sorted(h.edges))
+            kinds.add(cert.kind)
+        assert kinds == {"separable", "equatable"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_width_holds_every_minor(self, n):
+        # columns of [A' I b] up to sign (which no |det| sees): each k-set as
+        # an edge (its vertex rows) and as a non-edge (also row n), the unit
+        # columns, and b = e_n
+        units = {tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)}
+        for k in range(1, n):
+            ksets = {tuple(int(i in g) for i in range(n)) for g in combinations(range(n), k)}
+            columns = sorted(units | {g + (0,) for g in ksets} | {g + (1,) for g in ksets})
+            largest = max(abs(_bareiss_det(c)) for c in combinations(columns, n + 1))
+            assert 0 < largest < 1 << _field_width(n, k) - 1, (n, k, largest)
+
+    def test_width_above_hadamard_bound(self):
+        # (k+1)^((n+1)/2) < 2^(w-1), squared so it stays in ints
+        for n in range(2, 200):
+            for k in range(1, n):
+                assert (k + 1) ** (n + 1) < 1 << 2 * (_field_width(n, k) - 1), (n, k)

@@ -191,6 +191,22 @@ class TestIndistinguishability:
         assert not replay_identical(inst, (inst.f2,))
         assert replay_identical(inst, ((1, 3), (1,), (1, 2, 3)))
 
+    def test_replay_runs_no_exchange_scan(self, monkeypatch):
+        # build_adversary has checked both matroids; the replay only reads
+        # their edge masks, with the answers is_independent gives
+        import sephyp.matroid as matroid
+
+        inst = build_adversary(3)
+        m1, m2 = BasisMatroid(inst.h1), BasisMatroid(inst.h2)
+        queries = tuple(q for r in range(5) for q in combinations(range(0, 8), r))
+        calls = []
+        scan = matroid._mask_exchange_violation
+        monkeypatch.setattr(matroid, "_mask_exchange_violation", lambda sets: calls.append(1) or scan(sets))
+        for q in queries:
+            assert replay_identical(inst, (q,)) == (is_independent(m1, q) == is_independent(m2, q)), q
+        assert not replay_identical(inst, queries)
+        assert calls == []
+
     def test_query_budget_is_report_outcome(self):
         def greedy(oracle, n, k):
             for g in combinations(range(1, n + 1), k):
