@@ -18,6 +18,7 @@ on each Fourier-Motzkin stage once it is built:
 
     operation                               counts                default
     any building the C(n,k) k-set universe  k-sets                200000
+      or verifying a separable certificate
     enumerate                               instances, 2^C(n,k)   2^24
     analyze --monotone, --summable          pairs and lookups     4000000
     analyze --exchangeable                  edge pairs times k^2  4000000
@@ -43,7 +44,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .errors import (
@@ -58,11 +59,18 @@ from .errors import (
 )
 from .hypercore import (
     CLASSES,
+    KSET_BUDGET,
+    Hypergraph,
+    capped_comb,
+    check_budget,
     find_summable_quadruple,
     graph_orderable,
     is_exchangeable,
     is_multipartite,
     is_r_monotone,
+    is_valid_exchange_witness,
+    is_valid_graph_ordering,
+    is_valid_summable_quadruple,
 )
 
 # Every other sephyp module is imported in the body of the command that runs
@@ -178,6 +186,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             _emit(args, [f"invalid: labeling has {len(cert.x)} entries, expected {h.n}"],
                   {"valid": False, "violation": "length mismatch"})
             return EXIT_INVALID_CERT
+        # the walk may visit every k-set: gated as decide's universe is, so what decide returns verifies
+        check_budget(args.budget, KSET_BUDGET, lambda cap: [capped_comb(h.n, h.k, cap)],
+                     f"verifying over C({h.n},{h.k}) >= {{count}} k-sets")
         bad = separating_violation(h, cert.x)
         if bad is not None:
             side = "edge" if bad in h.edges else "non-edge"
@@ -193,17 +204,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _checked(h: Hypergraph, witness, valid: Callable[[Hypergraph, object], bool], what: str):
+    """witness, or None, once valid(h, witness) accepts it; else InternalVerificationError."""
+    if witness is not None and not valid(h, witness):
+        raise InternalVerificationError(f"the {what} found fails its check")
+    return witness
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     h = _load(args.path, args.budget)[0]
     lines_out: list[str] = []
     obj: dict = {}
     if args.exchangeable:
-        w = is_exchangeable(h, args.budget)
+        w = _checked(h, is_exchangeable(h, args.budget), is_valid_exchange_witness, "exchange witness")
         lines_out.append(f"exchangeable: {'yes' if w else 'no'}"
                          + (f" (e1={w.e1} e2={w.e2} v1={w.v1} v2={w.v2})" if w else ""))
         obj["exchangeable"] = vars(w) if w else None
     if args.summable:
-        q = find_summable_quadruple(h, args.budget)
+        q = _checked(h, find_summable_quadruple(h, args.budget), is_valid_summable_quadruple, "summable quadruple")
         lines_out.append(f"summable quadruple: {'yes' if q else 'no'}"
                          + (f" (e1={q.e1} e2={q.e2} f1={q.f1} f2={q.f2})" if q else ""))
         obj["summable"] = vars(q) if q else None
@@ -212,7 +230,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lines_out.append(f"{args.monotone}-monotone: {'yes' if result else 'no'}")
         obj["monotone"] = {"r": args.monotone, "value": result}
     if args.orderable:
-        ordering = graph_orderable(h, args.budget)  # NotAGraph -> exit 66
+        ordering = _checked(h, graph_orderable(h, args.budget), is_valid_graph_ordering, "ordering")  # NotAGraph -> 66
         lines_out.append(f"orderable: {'yes' if ordering else 'no'}"
                          + (f" (order={list(ordering.order)} tags={list(ordering.tags)})" if ordering else ""))
         obj["orderable"] = vars(ordering) if ordering else None

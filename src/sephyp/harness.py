@@ -1,11 +1,12 @@
 """Enumeration and verification harness.
 
 Enumerates hypergraph corpora (optionally filtered to a structural class),
-classifies every instance, and checks the combinatorial laws the library is
-built around: the separable/equatable dichotomy, the swap-witness sufficient
-condition, the 2-monotone equivalence, complement/dual invariance, the
-loop-deletion and line laws, and the equatable-iff-exchangeable equivalence on the
-proved classes. Any violation is a build-failing bug, not data.
+classifies every instance, and checks the laws the library is built around:
+the dichotomy once per run, and on each instance the selected entries of
+LAW_CHECKS in table order, the order of its violations. A new law is one
+more check_ method of _Instance, named in the table where its violations
+should come. Entries call the library through this module's globals, so a
+name patched here is seen. Any violation is a build-failing bug, not data.
 
 Instances are edge-subset bitmasks. The matroid, paving and binary classes
 walk the matroids generated by coloop and single-element extension of the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError, RankCollapse
 from .feasibility import Certificate, EquatableCertificate, SeparableCertificate, decide, verify_equatable, verify_separating
@@ -41,6 +42,7 @@ from .hypercore import (
     CLASSES,
     ENUMERATION_BUDGET,
     ORBIT_TABLE_BUDGET,
+    ExchangeWitness,
     Hypergraph,
     _mask_kset,
     _vertex_mask,
@@ -64,10 +66,6 @@ from .matroid import (
     is_binary,
     lines,
     loops,
-)
-
-ALL_CHECKS = frozenset(
-    {"dichotomy", "quadruple", "monotone", "transforms", "theorems", "loops", "lines", "circuit_elimination"}
 )
 
 
@@ -106,10 +104,6 @@ class MaskTables:
 
     def is_paving_mask(self, mask: int) -> bool:
         return _mask_is_paving(_at_bits(self.vertex_masks, mask), self.n, self.k)
-
-    def matroid_masks(self) -> Iterator[int]:
-        """The masks that are matroids, ascending, built without the filter."""
-        return _matroid_masks(self.n, self.k)
 
 
 def _matroid_masks(n: int, k: int) -> Iterator[int]:
@@ -278,34 +272,97 @@ def _moved(h: Hypergraph, cert: Certificate, p: tuple[int, ...]) -> Certificate:
     return moved
 
 
-def _check_circuit_elimination(m: BasisMatroid) -> Optional[str]:
-    """The first circuit pair, shared v and u in the first only (ascending)
-    with no circuit through u inside the union less v, as text; or None."""
-    circ = _circuit_masks(m)
-    for c1 in circ:
-        for c2 in circ:
-            shared = c1 & c2 if c1 != c2 else 0
-            while shared:
-                v, shared = shared & -shared, shared & (shared - 1)
-                pool = (c1 | c2) ^ v
-                covered = 0
-                for c in circ:
-                    if c & pool == c:
-                        covered |= c
-                missing = c1 & ~c2 & ~covered
-                if missing:
-                    u = (missing & -missing).bit_length() - 1
-                    return f"no circuit with {u} inside {list(_mask_kset(pool))}"
-    return None
+@record
+class _Instance:
+    """One instance as the law checks read it, each check a generator method."""
+
+    h: Hypergraph
+    cert: Certificate
+    witness: Optional[ExchangeWitness]
+    matroid: Optional[BasisMatroid]  # None unless the instance is a matroid
+    proved: bool  # in a class where equatable iff exchangeable is proved
+    decide: Callable[[Hypergraph], Certificate]  # the run's, once per orbit
+
+    def check_quadruple(self) -> Iterator[str]:
+        quad = find_summable_quadruple(self.h)
+        if self.witness is not None and quad is None:
+            yield "exchange witness exists but no summable quadruple"
+        if quad is not None:
+            if self.cert.kind != "equatable":
+                yield f"summable quadruple {quad} on a separable instance"
+            if not verify_equatable(self.h, dict.fromkeys((quad.e1, quad.e2, quad.f1, quad.f2), Fraction(1))):
+                yield f"explicit quadruple labeling fails for {quad}"
+
+    def check_monotone(self) -> Iterator[str]:
+        if is_r_monotone(self.h, 2) != (self.witness is None):
+            yield "2-monotone disagrees with not-exchangeable"
+
+    def check_transforms(self) -> Iterator[str]:
+        comp, dual_h, kind = complement(self.h), dual(self.h), self.cert.kind
+        comp_kind, dual_kind = self.decide(comp).kind, self.decide(dual_h).kind
+        if comp_kind != kind or dual_kind != kind:
+            yield f"kinds differ: {kind}/{comp_kind}/{dual_kind}"
+        if kind == "equatable":
+            universe = _vertex_mask(range(1, self.h.n + 1))
+            if not verify_equatable(dual_h, {_mask_kset(universe ^ _vertex_mask(g)): val for g, val in self.cert.y}):
+                yield "transported dual labeling fails verification"
+        if not (self.witness is None) == (is_exchangeable(comp) is None) == (is_exchangeable(dual_h) is None):
+            yield "exchangeability not preserved by complement/dual"
+
+    def check_theorems(self) -> Iterator[str]:
+        kind = self.cert.kind
+        if self.proved and (kind == "equatable") != (self.witness is not None):
+            yield f"{kind} but exchangeable = {self.witness is not None}"
+        if self.h.k == 2:
+            ordering = graph_orderable(self.h)
+            if (ordering is not None) != (kind == "separable"):
+                yield f"orderable = {ordering is not None} but {kind}"
+
+    def check_loops(self) -> Iterator[str]:
+        loop_set = loops(self.matroid) if self.matroid is not None else None
+        if loop_set:
+            try:
+                minor, _ = delete(self.matroid, min(loop_set))
+            except RankCollapse:
+                return  # k = n-1 minor not representable under 1 <= k < n
+            if self.decide(minor.carrier).kind != self.cert.kind:
+                yield f"kind changes when deleting loop {min(loop_set)}"
+
+    def check_lines(self) -> Iterator[str]:
+        if self.matroid is not None and not loops(self.matroid):
+            if lines(self.matroid).nontrivial_count >= 2 and self.witness is None:
+                yield "two nontrivial lines but no exchange witness"
+
+    def check_circuit_elimination(self) -> Iterator[str]:
+        """The first circuit pair, shared v and u in the first only (ascending)
+        with no circuit through u inside the union less v."""
+        circ = _circuit_masks(self.matroid) if self.matroid is not None else ()
+        for c1 in circ:
+            for c2 in circ:
+                shared = c1 & c2 if c1 != c2 else 0
+                while shared:
+                    v, shared = shared & -shared, shared & (shared - 1)
+                    pool = (c1 | c2) ^ v
+                    covered = 0
+                    for c in circ:
+                        if c & pool == c:
+                            covered |= c
+                    missing = c1 & ~c2 & ~covered
+                    if missing:
+                        u = (missing & -missing).bit_length() - 1
+                        yield f"no circuit with {u} inside {list(_mask_kset(pool))}"
+                        return
 
 
-def run_enumeration(
-    n: int,
-    k: int,
-    klass: str = "all",
-    checks: Iterable[str] = (),
-    budget: Optional[int] = None,
-) -> EnumerationReport:
+LAW_CHECKS: dict[str, Callable[[_Instance], Iterator[str]]] = {
+    name: getattr(_Instance, "check_" + name)
+    for name in ("quadruple", "monotone", "transforms", "theorems", "loops", "lines", "circuit_elimination")
+}
+ALL_CHECKS = frozenset({"dichotomy", *LAW_CHECKS})
+
+
+def run_enumeration(n: int, k: int, klass: str = "all", checks: Iterable[str] = (),
+                    budget: Optional[int] = None) -> EnumerationReport:
     """Enumerate, filter, classify, and law-check one (n, k) corpus."""
     if klass not in CLASSES:
         raise Inapplicable(f"unknown class {klass!r}")
@@ -329,12 +386,13 @@ def run_enumeration(
 
     counts = dict.fromkeys(("total", "separable", "equatable", "exchangeable", "matroids", "paving", "binary"), 0)
     violations: list[dict] = []
+    selected = [(name, check) for name, check in LAW_CHECKS.items() if name in check_set]
 
     generated = klass in ("matroids", "paving", "binary")
     if klass == "multipartite":
         masks: Iterable[int] = _multipartite_masks(tables)
     else:
-        masks = tables.matroid_masks() if generated else range(1 << tables.m)
+        masks = _matroid_masks(n, k) if generated else range(1 << tables.m)
 
     for mask in masks:
         matroid_mask = generated or tables.is_matroid_mask(mask)
@@ -357,71 +415,12 @@ def run_enumeration(
         witness = is_exchangeable(h)
         if witness is not None:
             counts["exchangeable"] += 1
-
-        def violate(check: str, detail: str) -> None:
-            violations.append(
-                {"check": check, "n": n, "k": k, "edges": [list(e) for e in h.sorted_edges()], "detail": detail}
-            )
-
-        if "quadruple" in check_set:
-            quad = find_summable_quadruple(h)
-            if witness is not None and quad is None:
-                violate("quadruple", "exchange witness exists but no summable quadruple")
-            if quad is not None:
-                if cert.kind != "equatable":
-                    violate("quadruple", f"summable quadruple {quad} on a separable instance")
-                explicit = {g: Fraction(1) for g in (quad.e1, quad.e2, quad.f1, quad.f2)}
-                if not verify_equatable(h, explicit):
-                    violate("quadruple", f"explicit quadruple labeling fails for {quad}")
-
-        if "monotone" in check_set and is_r_monotone(h, 2) != (witness is None):
-            violate("monotone", "2-monotone disagrees with not-exchangeable")
-
-        if "transforms" in check_set:
-            comp = complement(h)
-            comp_kind = decide_once(comp).kind
-            dual_h = dual(h)
-            dual_cert = decide_once(dual_h)
-            if comp_kind != cert.kind or dual_cert.kind != cert.kind:
-                violate("transforms", f"kinds differ: {cert.kind}/{comp_kind}/{dual_cert.kind}")
-            if cert.kind == "equatable":
-                universe = _vertex_mask(range(1, n + 1))
-                transported = {_mask_kset(universe ^ _vertex_mask(g)): val for g, val in cert.y}
-                if not verify_equatable(dual_h, transported):
-                    violate("transforms", "transported dual labeling fails verification")
-            if not (witness is None) == (is_exchangeable(comp) is None) == (is_exchangeable(dual_h) is None):
-                violate("transforms", "exchangeability not preserved by complement/dual")
-
-        if "theorems" in check_set:
-            in_proved_class = (
-                k <= 2
-                or klass == "multipartite"
-                or (matroid_mask and (k == 3 or paving or binary))
-            )
-            if in_proved_class and (cert.kind == "equatable") != (witness is not None):
-                violate("theorems", f"{cert.kind} but exchangeable = {witness is not None}")
-            if k == 2:
-                ordering = graph_orderable(h)
-                if (ordering is not None) != (cert.kind == "separable"):
-                    violate("theorems", f"orderable = {ordering is not None} but {cert.kind}")
-
-        loop_set = loops(basis_matroid) if basis_matroid is not None and check_set & {"loops", "lines"} else None
-        if "loops" in check_set and loop_set:
-            try:
-                minor, _ = delete(basis_matroid, min(loop_set))
-                if decide_once(minor.carrier).kind != cert.kind:
-                    violate("loops", f"kind changes when deleting loop {min(loop_set)}")
-            except RankCollapse:
-                pass  # k = n-1 minor not representable under 1 <= k < n
-
-        if "lines" in check_set and loop_set == frozenset():  # a matroid without loops
-            if lines(basis_matroid).nontrivial_count >= 2 and witness is None:
-                violate("lines", "two nontrivial lines but no exchange witness")
-
-        if "circuit_elimination" in check_set and basis_matroid is not None:
-            problem = _check_circuit_elimination(basis_matroid)
-            if problem is not None:
-                violate("circuit_elimination", problem)
+        proved = k <= 2 or klass == "multipartite" or (matroid_mask and (k == 3 or paving or binary))
+        x = _Instance(h, cert, witness, basis_matroid, proved, decide_once)
+        for name, check in selected:
+            for detail in check(x):
+                violations.append({"check": name, "n": n, "k": k, "edges": [list(e) for e in h.sorted_edges()],
+                                   "detail": detail})
 
     if "dichotomy" in check_set and counts["separable"] + counts["equatable"] != counts["total"]:
         detail = f"separable {counts['separable']} + equatable {counts['equatable']} != total {counts['total']}"

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from sephyp import harness, matroid
+from sephyp import cli, harness, matroid
 from sephyp.cli import main
+from sephyp.hypercore import ExchangeWitness, GraphOrdering, SummableQuadruple
 
 FX = "fixtures"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -129,6 +130,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", f"{FX}/paving_five.json", str(cert))
         assert code == 64 and "y[1].set [1, 2, 5] repeats an earlier set" in err
 
+    @pytest.mark.parametrize("budget, code, out", [("19", 65, ""), ("20", 0, "valid\n")])
+    def test_separable_walk_gated_as_decide_is(self, capsys, monkeypatch, budget, code, out):
+        # the walk visits up to C(6,3) = 20 k-sets, the count and cap of decide's universe
+        monkeypatch.setenv("SEPHYP_BUDGET", budget)
+        got = run(capsys, "verify", f"{FX}/separable_six.json", f"{FX}/separable_six_x.json")
+        assert got[:2] == (code, out)
+        assert got[2] == ("budget exceeded: verifying over C(6,3) >= 20 k-sets exceeds budget 19\n" if code else "")
+
 
 class TestIntegerLists:
     """Hypergraph edges, graph edges, gf2 rows, certificate sets and partition
@@ -189,6 +198,18 @@ class TestAnalyze:
             "--multipartite", f"{FX}/partition_pairs.json",
         )
         assert code == 0 and "multipartite: yes" in out
+
+    @pytest.mark.parametrize("flag, finder, edit, fixture", [
+        ("--exchangeable", "is_exchangeable", lambda w: ExchangeWitness(w.e1, w.e2, w.v2, w.v1), "equatable_six"),
+        ("--summable", "find_summable_quadruple", lambda q: SummableQuadruple(q.e1, q.e2, q.f1, q.e2),
+         "equatable_six"),
+        ("--orderable", "graph_orderable", lambda o: GraphOrdering(o.order, o.tags[::-1]), "star_three"),
+    ], ids=("exchangeable", "summable", "orderable"))
+    def test_edited_witness_is_an_internal_failure(self, capsys, monkeypatch, flag, finder, edit, fixture):
+        found = getattr(cli, finder)
+        monkeypatch.setattr(cli, finder, lambda h, budget: edit(found(h, budget)))
+        code, out, err = run(capsys, "analyze", f"{FX}/{fixture}.json", flag)
+        assert (code, out) == (70, "") and err.startswith("internal verification failure: ")
 
 
 class TestMatroid:
@@ -442,6 +463,14 @@ class TestLargeInstance:
 
     def test_verify_equatable_certificate(self, files):
         assert self.cli("verify", *files).returncode == 0
+
+    def test_verify_separable_certificate_refused(self, tmp_path):
+        # every k-set is a correct non-edge, so the walk would take C(60,30) ~ 1.2e17 steps
+        inst, cert = tmp_path / "empty.json", tmp_path / "empty_x.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 60, "k": 30, "edges": []}))
+        cert.write_text(json.dumps({"kind": "separable", "x": ["-1"] * 60}))
+        done = self.cli("verify", str(inst), str(cert))
+        assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: verifying over C(60,30) >= ")
 
     def test_verify_equatable_certificate_of_a_billion_vertices(self, tmp_path):
         # the masses are kept for the four vertices y names, not for all n

@@ -3,16 +3,19 @@
 import gc
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from sephyp import harness
 from sephyp.errors import BudgetExceeded, InternalVerificationError, RankZero
 from sephyp.harness import ALL_CHECKS, CLASSES, MaskTables, canonical_partition, enumerate_hypergraphs, run_enumeration
+from sephyp.hypercore import Hypergraph
 from sephyp.jsonio import dumps
-from sephyp.matroid import Gf2Matrix, exchange_violation, from_gf2_matrix, is_matroid, is_paving, BasisMatroid
+from sephyp.matroid import (Gf2Matrix, LineDecomposition, exchange_violation, from_gf2_matrix, is_matroid, is_paving,
+                            BasisMatroid)
 
 EXHAUSTIVE_SHAPES = ((4, 2), (5, 2), (5, 3))
 RANDOM_CORPUS_SEED = 4
@@ -106,7 +109,7 @@ class TestMaskTables:
 
     def test_generated_matroid_totals(self):
         # OEIS A058673, matroids on n labelled points, summed over ranks 0..n
-        totals = [sum(sum(1 for _ in MaskTables(n, k).matroid_masks()) for k in range(n + 1)) for n in range(7)]
+        totals = [sum(sum(1 for _ in harness._matroid_masks(n, k)) for k in range(n + 1)) for n in range(7)]
         assert totals == [1, 2, 5, 16, 68, 406, 3807]
 
     def test_generated_matroids_leave_no_cyclic_garbage(self):
@@ -122,7 +125,7 @@ class TestMaskTables:
     @pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (6, 2), (6, 4)])
     def test_generated_matroids_match_filter(self, n, k):
         tables = MaskTables(n, k)
-        assert list(tables.matroid_masks()) == [m for m in range(1 << tables.m) if tables.is_matroid_mask(m)]
+        assert list(harness._matroid_masks(n, k)) == [m for m in range(1 << tables.m) if tables.is_matroid_mask(m)]
 
     def test_hypergraph_matches_enumeration_order(self):
         tables = MaskTables(4, 2)
@@ -258,3 +261,27 @@ class TestRunEnumeration:
         assert len(report.violations) == 2053
         digest = hashlib.sha256(dumps(report.as_obj()).encode()).hexdigest()
         assert digest == "2beec4afa6a6be16d63d1e63734b6cb98a2a543a0e2164e353962e86241afa46"
+
+    def test_law_checks_run_in_order_and_alone(self, monkeypatch):
+        # each per-instance check is made to fire on some 2-uniform instance
+        # on four vertices: an instance's violations come in this order, and a
+        # run of one check reports just the full run's violations of it
+        # (loops needs a loop and lines none, so those two never meet)
+        order = ("quadruple", "monotone", "transforms", "theorems", "loops", "lines", "circuit_elimination")
+        equatable = Hypergraph.from_edges(4, 2, [(1, 2), (3, 4)])  # 12 + 34 = 13 + 24
+        right = harness.is_r_monotone
+        monkeypatch.setattr(harness, "find_summable_quadruple", lambda h: None)
+        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r: not right(h, r))
+        monkeypatch.setattr(harness, "complement", lambda h: Hypergraph(h.n, h.k, frozenset()))
+        monkeypatch.setattr(harness, "graph_orderable", lambda h: None)
+        monkeypatch.setattr(harness, "delete", lambda m, v: (SimpleNamespace(carrier=equatable), {}))
+        monkeypatch.setattr(harness, "lines", lambda m: LineDecomposition((), 2))
+        monkeypatch.setattr(harness, "_circuit_masks", lambda m: (0b0110, 0b1100))
+        full = run_enumeration(4, 2, "all", ALL_CHECKS).as_obj()
+        assert {v["check"] for v in full["violations"]} == set(order)
+        for _, group in groupby(full["violations"], key=lambda v: v["edges"]):
+            ranks = [order.index(v["check"]) for v in group]
+            assert ranks == sorted(ranks)
+        for check in ALL_CHECKS:
+            alone = [v for v in full["violations"] if v["check"] == check]
+            assert run_enumeration(4, 2, "all", {check}).as_obj() == {**full, "violations": alone}, check

@@ -1,5 +1,6 @@
 """Combinatorial predicates against hand-verified and brute-force oracles."""
 
+import random
 import re
 from itertools import combinations, permutations
 
@@ -250,10 +251,53 @@ class TestGraphOrderable:
             graph_orderable(eq_six)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ordering_check_matches_quadratic(self, n, eq_six):
+        # on every graph, its greedy ordering or else a random one, and edits
+        # of it: a tag flipped or unknown, two places swapped, the order
+        # reversed, a vertex repeated, a tag missing
+        rng = random.Random(n)
+        outcomes = set()
+        for h in enumerate_hypergraphs(n, 2):
+            o = graph_orderable(h) or GraphOrdering(tuple(rng.sample(range(1, n + 1), n)),
+                                                    tuple(rng.choices((ISOLATED, DOMINATING), k=n)))
+            order, tags, j, i = list(o.order), list(o.tags), rng.randrange(n), rng.randrange(n)
+            swapped = order[:]
+            swapped[i], swapped[j] = order[j], order[i]
+            flipped = tags[:j] + [DOMINATING if tags[j] == ISOLATED else ISOLATED] + tags[j + 1:]
+            for edit in ((order, tags), (order, flipped), (order, tags[:j] + ["other"] + tags[j + 1:]),
+                         (swapped, tags), (order[::-1], tags), (order[:j] + [order[i]] + order[j + 1:], tags),
+                         (order, tags[:-1])):
+                e = GraphOrdering(*map(tuple, edit))
+                valid = is_valid_graph_ordering(h, e)
+                assert valid == _quadratic_is_valid_graph_ordering(h, e), (h, e)
+                outcomes.add(valid)
+        assert outcomes == {False, True}
+        e = GraphOrdering((1, 2, 3, 4, 5, 6), (ISOLATED,) * 6)
+        assert not is_valid_graph_ordering(eq_six, e) and not _quadratic_is_valid_graph_ordering(eq_six, e)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_quadratic_greedy(self, n):
         # the heap version must make the same picks as the plain greedy scan
         for h in enumerate_hypergraphs(n, 2):
             assert graph_orderable(h) == _quadratic_greedy(h), sorted(h.edges)
+
+
+def _quadratic_is_valid_graph_ordering(h, o):
+    """The ordering check as an edge lookup per earlier vertex, O(n^2)."""
+    if h.k != 2:
+        return False
+    if sorted(o.order) != list(range(1, h.n + 1)) or len(o.tags) != h.n:
+        return False
+    for j, v in enumerate(o.order):
+        prior = o.order[:j]
+        hits = [tuple(sorted((u, v))) in h.edges for u in prior]
+        if o.tags[j] == ISOLATED and any(hits):
+            return False
+        if o.tags[j] == DOMINATING and not all(hits):
+            return False
+        if o.tags[j] not in (ISOLATED, DOMINATING):
+            return False
+    return True
 
 
 def _quadratic_greedy(h):

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from sephyp.feasibility import EquatableCertificate, FarkasSystem, SeparableCertificate
-from sephyp.harness import EnumerationReport
+from sephyp.feasibility import EquatableCertificate, FarkasSystem, SeparableCertificate, decide
+from sephyp.harness import EnumerationReport, _Instance
 from sephyp.hypercore import (ExchangeWitness, Gf2Matrix, Graph, GraphOrdering, Hypergraph, Partition,
                               SummableQuadruple, record)
 from sephyp.matroid import BasisMatroid, Circuit, LineDecomposition
@@ -48,6 +48,10 @@ SAMPLES = {
     EnumerationReport: (dict(n=4, k=2, klass="all", counts={"total": 64}, violations=[]),
                         dict(n=4, k=2, klass="all", counts={"total": 64}, violations=[{"check": "dichotomy"}])),
     BasisMatroid: (dict(carrier=K4), dict(carrier=K4_LESS)),
+    _Instance: (dict(h=K4, cert=SeparableCertificate((Fraction(1),) * 4), witness=None, matroid=None, proved=True,
+                     decide=decide),
+                dict(h=K4, cert=SeparableCertificate((Fraction(1),) * 4), witness=None, matroid=None, proved=False,
+                     decide=decide)),
     Circuit: (dict(elements=(1, 2)), dict(elements=(1, 2, 3))),
     LineDecomposition: (dict(lines=((1, 2), (3,)), nontrivial_count=1),
                         dict(lines=((1,), (2,), (3,)), nontrivial_count=0)),
