@@ -23,7 +23,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations
 from operator import attrgetter, lt
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, FormatError, InvalidPartition, NotAGraph
 
@@ -141,6 +141,16 @@ def _edge_fault(e: object, n: int, k: int) -> Optional[tuple[tuple, str]]:
     return why and ((1, e), why)
 
 
+def _ksets_valid(sets: Collection, n: int, k: int) -> bool:
+    """One pass: every set is a strictly increasing k-tuple of ints in 1..n, so _edge_fault finds nothing in
+    sets. False sends the caller to _edge_fault to name the fault. sets is read twice: pass a collection."""
+    try:
+        return {int}.issuperset(map(type, chain.from_iterable(sets))) and all(
+            type(e) is tuple and len(e) == k and 0 < e[0] and e[-1] <= n and all(map(lt, e, e[1:])) for e in sets)
+    except (TypeError, IndexError):  # a set that is not iterable, or () at k = 0
+        return False
+
+
 def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
     """All k-subsets of [1, n] in lexicographic order.
 
@@ -174,11 +184,7 @@ class Hypergraph:
             raise FormatError("n and k must be integers")
         if not isinstance(edges, frozenset):
             raise FormatError("edges must be a frozenset of sorted tuples")
-        try:
-            fine = {int}.issuperset(map(type, chain.from_iterable(edges))) and all(
-                type(e) is tuple and len(e) == k and 0 < e[0] and e[-1] <= n and all(map(lt, e, e[1:])) for e in edges)
-        except (TypeError, IndexError):  # an edge that is not iterable, or () at k = 0
-            fine = False
+        fine = _ksets_valid(edges, n, k)
         fault = None if fine else min(filter(None, (_edge_fault(e, n, k) for e in edges)), default=None)
         if fault:
             raise FormatError(fault[1])

@@ -4,9 +4,11 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
+from sephyp import feasibility
 from sephyp.errors import BudgetExceeded
 from sephyp.feasibility import (
     EquatableCertificate,
@@ -57,6 +59,18 @@ class TestBuildSystem:
             build_system(sep_six, budget=5)
 
 
+def _per_kset_separating_violation(h, x):
+    """separating_violation() as a loop over the k-sets, one int sum each:
+    the reference for the streamed version."""
+    vals = [Fraction(v) for v in x]
+    scale = lcm(*(v.denominator for v in vals))
+    w = [0] + [v.numerator * (scale // v.denominator) for v in vals]
+    for g in combinations(range(1, h.n + 1), h.k):
+        if (g in h.edges) != (sum(map(w.__getitem__, g)) >= 0):
+            return g
+    return None
+
+
 class TestVerifiers:
     def test_known_separating_labeling(self, sep_six, sep_six_x):
         assert verify_separating(sep_six, sep_six_x)
@@ -84,6 +98,34 @@ class TestVerifiers:
     def test_imbalance_names_vertex(self, eq_six):
         problem = equatable_violation(eq_six, {(1, 3, 4): Fraction(1)})
         assert problem is not None and "vertex" in problem
+
+    def test_first_defect_named_among_bad_sets_and_negative_values(self, eq_six):
+        # the first defect in sorted order, named as the per-set loop names it
+        assert equatable_violation(eq_six, {(1, 2, 3): Fraction(-1), (0, 1, 2): Fraction(1)}) == (
+            "set (0, 1, 2) is not a 3-subset of 1..6")
+        assert equatable_violation(eq_six, {(1, 2, 3): Fraction(-1, 2), (4, 5, 7): Fraction(1)}) == (
+            "set (1, 2, 3) has negative value -1/2")
+        assert equatable_violation(eq_six, {(4, 5, 6): Fraction(1), (2, 1, 3): Fraction(-3)}) == (
+            "set (2, 1, 3) is not a 3-subset of 1..6")
+        assert equatable_violation(eq_six, {(1, 2, 3): Fraction(1), (1, 2, 4): -1}) == (
+            "set (1, 2, 4) has negative value -1")
+
+    def test_separating_violation_matches_per_kset_loop(self):
+        rng = random.Random(2206)
+        checked = violated = 0
+        for h in _decide_random_sample():
+            cert = decide(h)
+            labelings = [list(cert.x)] if cert.kind == "separable" else []
+            labelings.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(h.n)])
+            for x in labelings:
+                bumped = list(x)
+                bumped[rng.randrange(h.n)] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), 7)
+                for labeling in (x, bumped):
+                    expected = _per_kset_separating_violation(h, labeling)
+                    assert separating_violation(h, labeling) == expected, (h, labeling)
+                    checked += 1
+                    violated += expected is not None
+        assert 0 < violated < checked
 
     def test_balance_aggregate(self, eq_six, eq_six_y, paving_five, paving_five_y, counterexample_nine, counterexample_nine_y):
         # summing the balance equations over vertices forces equal total mass
@@ -350,8 +392,9 @@ class TestGoldenCertificates:
 
 def _list_tableau_decide(h):
     """decide() with d B^-1 and the rhs kept as a list of int rows, each
-    updated cell by cell: the simplex before its columns were packed, kept
-    here only as the reference the packed columns must reproduce."""
+    updated cell by cell, and Bland's scan pricing one column at a time: the
+    simplex before its columns and its pricing were packed, kept here only as
+    the reference the packed version must reproduce."""
     rows = list(combinations(range(1, h.n + 1), h.k))
     m, n = len(rows), h.n
     columns = [(-1, idx) if g in h.edges else (1, idx + (n,))
@@ -435,21 +478,35 @@ def _bareiss_det(matrix):
 
 
 class TestPackedTableau:
-    """decide() keeps each column of d B^-1 as one int of fixed-width fields."""
+    """decide() keeps each column of d B^-1 as one int of fixed-width fields,
+    and prices blocks of k-set columns as packed ints."""
 
-    def test_agrees_with_list_tableau(self):
-        threshold = random.Random(1606)
-        ksets = list(combinations(range(1, 17), 6))
-        edges = _threshold_edges(threshold, ksets, 16)
-        instances = [*enumerate_hypergraphs(5, 3), *_decide_random_sample(),
-                     _random_graph(40, 40), _random_graph(90, 90),
-                     Hypergraph(16, 6, frozenset(edges)), Hypergraph(16, 6, frozenset(edges ^ set(ksets[::997])))]
-        kinds = set()
-        for h in instances:
-            cert = decide(h)
-            assert cert == _list_tableau_decide(h), (h.n, h.k, sorted(h.edges))
-            kinds.add(cert.kind)
-        assert kinds == {"separable", "equatable"}
+    def test_agrees_with_list_tableau(self, monkeypatch):
+        rng = random.Random(1606)
+        instances = [*enumerate_hypergraphs(5, 3), *_decide_random_sample(), _random_graph(40, 40), _random_graph(90, 90)]
+        for n, k, step in ((16, 6, 997), (30, 3, 1301)):
+            ksets = list(combinations(range(1, n + 1), k))
+            edges = _threshold_edges(rng, ksets, n)
+            instances += [Hypergraph(n, k, frozenset(edges)), Hypergraph(n, k, frozenset(edges ^ set(ksets[::step])))]
+        instances.append(Hypergraph(30, 3, frozenset(combinations(range(1, 31), 3))))  # no pivot: every block is built
+        expected = [_list_tableau_decide(h) for h in instances]
+        assert {cert.kind for cert in expected} == {"separable", "equatable"}
+        # Fields start at the narrowest whole byte and widen as the costs grow:
+        # count the instances whose blocks are dropped and rebuilt wider.
+        fewest = feasibility._price_bytes
+        widths = []
+        monkeypatch.setattr(feasibility, "_price_bytes", lambda need: widths.append(need) or fewest(need))
+        rebuilt = 0
+        for h, cert in zip(instances, expected):
+            start = len(widths)
+            assert decide(h) == cert, (h.n, h.k, sorted(h.edges))
+            assert fewest(widths[start]) == 1
+            rebuilt += len(widths) > start + 1
+        assert rebuilt >= 5
+        # Again with a spare byte in every field.
+        monkeypatch.setattr(feasibility, "_price_bytes", lambda need: fewest(need) + 1)
+        for h, cert in zip(instances, expected):
+            assert decide(h) == cert, (h.n, h.k, sorted(h.edges))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_width_holds_every_minor(self, n):

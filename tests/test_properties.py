@@ -30,15 +30,16 @@ from sephyp.matroid import (
     oracle_from_matroid,
 )
 from sephyp.oracle_algorithms import decide_binary_via_oracle
+from tests.test_feasibility import _list_tableau_decide
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
 
 
 @st.composite
-def hypergraphs(draw, min_n=3, max_n=7, max_k=3):
+def hypergraphs(draw, min_n=3, max_n=7, min_k=1, max_k=3):
     n = draw(st.integers(min_n, max_n))
-    k = draw(st.integers(1, min(max_k, n - 1)))
+    k = draw(st.integers(min_k, min(max_k, n - min_k)))
     pool = all_ksets(n, k)
     edges = draw(st.sets(st.sampled_from(pool)))
     return Hypergraph(n, k, frozenset(edges))
@@ -120,6 +121,11 @@ def test_decision_certificate_passes_its_verifier(h):
         assert verify_separating(h, cert.x)
     else:
         assert verify_equatable(h, cert.as_dict())
+
+
+@given(hypergraphs(min_n=4, max_n=8, min_k=2, max_k=6))
+def test_block_pricing_agrees_with_list_tableau(h):
+    assert decide(h) == _list_tableau_decide(h)
 
 
 @given(hypergraphs(max_n=5))
