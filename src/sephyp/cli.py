@@ -12,7 +12,7 @@ enumerate, search-cert. Exit codes are a stable contract:
     70  internal verification failure (a bug, not user error)
 
 SEPHYP_BUDGET (an integer of absolute value at most 10**100) replaces the
-default cap of each budget below except the last three; each but the last is
+default cap of each budget below except the last four; each but the last is
 checked before its loop starts, on the work that loop will do, and the last
 on each Fourier-Motzkin stage once it is built:
 
@@ -35,6 +35,8 @@ on each Fourier-Motzkin stage once it is built:
     enumerate: orbit tables (not changed    permutations times    200000
       by SEPHYP_BUDGET; past it, each       k-sets, n!*C(n,k)
       instance is decided on its own)
+    decide: its packed tableau and price    64-bit words          4000000
+      rows (not changed by SEPHYP_BUDGET)
     decide --method fm                      vertices              6
     decide --method fm                      rows of one stage     200000
 """

@@ -6,7 +6,11 @@ artificial part of the objective row as ints over one shared positive
 denominator d; each column of d B^-1 is one int of fixed-width fields, one
 per row, wide enough by Hadamard's bound for any value the fraction-free
 pivots store. Bland's scan prices a block of k-set columns with one sum of
-packed ints, their fields as wide as the costs they hold. decide_fm() keeps
+packed ints, their fields as wide as the costs they hold. What those columns
+are depends on (n, k) alone, so decide() keeps the k-set universe and the
+blocks' 0/1 vertex rows for the last few shapes it met (_Columns), behind
+the C(n,k) gate at the caller's budget and a gate on the words of packed
+state, and builds only each instance's edge flags and signs. decide_fm() keeps
 every Fourier-Motzkin row as coprime ints, so Fractions appear there only in
 multipliers, bounds and certificates. There is no floating point and no
 tolerance. A hypergraph is either separable (a vertex labeling x realizes
@@ -25,14 +29,14 @@ scaling.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress, repeat
-from math import gcd, lcm
+from itertools import combinations, compress, islice, repeat
+from math import comb, gcd, lcm
 from operator import attrgetter, mul, ne
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError
-from .hypercore import (CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, Hypergraph, KSet, all_ksets, capped_comb,
-                        _edge_fault, _ksets_valid, check_budget, record)
+from .hypercore import (CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, PACKED_WORD_BUDGET, Hypergraph, KSet,
+                        all_ksets, capped_comb, _edge_fault, _ksets_valid, check_budget, check_ksets, record)
 
 SetLabeling = dict[KSet, Fraction]
 
@@ -188,21 +192,88 @@ def _price_bytes(need: int) -> int:
     return -(-need // 8)
 
 
-def _price_block(records: list[int], n: int, q: int) -> tuple[list[int], list[int], int]:
-    """The rows that the columns of records meet, one int per such row whose
-    field j of q bytes is the row's entry in column j, and the int with the
-    top bit of every field set.
+class _Columns:
+    """The parts of decide()'s k-set columns that depend on (n, k) alone:
+    the k-set universe rows (the columns, in order), the spans of the
+    pricing blocks, and each block built so far, keyed by block and field
+    width q. Made only once the shape's packed state passes its gate, which
+    counts one byte per field; a block is kept once per width asked for,
+    one or two bytes on every instance measured."""
 
-    Byte i of a record is 1 where row i meets the column. Written out in
-    q (n+1) bytes each, zero past byte n, every (n+1)-th byte from byte i is
-    row i's entry in one column after another, q bytes apart: one slice of
-    the bytes is the 0/1 pattern of a row, and row n's marks the non-edges."""
-    data = b"".join(map(int.to_bytes, records, repeat(q * (n + 1)), repeat("little")))
-    rows = [int.from_bytes(data[i::n + 1], "little") for i in range(n + 1)]
-    non_edge = rows.pop()
-    rows = [2 * (x & non_edge) - x for x in rows] + [non_edge]  # -1 on an edge, +1 on a non-edge
-    touched = [i for i, x in enumerate(rows) if x]
-    return touched, [rows[i] for i in touched], int.from_bytes(b"\x80".rjust(q, b"\0") * len(records), "little")
+    __slots__ = ("n", "k", "rows", "spans", "units", "blocks")
+
+    def __init__(self, n: int, k: int, budget: Optional[int]) -> None:
+        m = comb(n, k)
+
+        def words(cap: int) -> Iterator[int]:
+            yield (n + 1) * -(-m // 8)  # price rows: at most n + 1 per block, one byte per column
+            # n + 2 columns of d B^-1 and the rhs, n + 1 fields each. As (k+1)^(n+1) >= 2^(n+1), the field
+            # width is at least (n + 2) // 2 + 2, and a tableau already past the cap at that width is refused
+            # before the width, a power of about n log(k+1) bits, is worked out.
+            tableau = (n + 2) * -(-(n + 1) * ((n + 2) // 2 + 2) // 64)
+            yield tableau if tableau > cap else (n + 2) * -(-(n + 1) * _field_width(n, k) // 64)
+
+        check_budget(None, PACKED_WORD_BUDGET, words,
+                     f"packed simplex state of C({n},{k}) columns in >= {{count}} 64-bit words")
+        self.n, self.k, self.rows = n, k, all_ksets(n, k, budget)
+        # Block b prices columns 16 (2^b - 1) up to the next block's start.
+        self.spans = [(start, min(2 * start + 16, m)) for start in (16 * ((1 << b) - 1) for b in range(m.bit_length()))
+                      if start < m]
+        self.units = [1 << 8 * i for i in range(n)]
+        self.blocks: dict[tuple[int, int], tuple[list[int], list[int], int]] = {}
+
+    def block(self, b: int, q: int) -> tuple[list[int], list[int], int]:
+        """The vertex rows that the columns of block b meet, one int per such
+        row whose field j of q bytes is 1 where the row meets column j, and the
+        int with the top bit of every field set.
+
+        Byte i of a column's record is 1 where vertex row i meets it. Written
+        out in q n bytes each, zero past byte n - 1, every n-th byte from byte
+        i is row i's entry in one column after another, q bytes apart: one
+        slice of the bytes is the 0/1 pattern of a row."""
+        if (b, q) not in self.blocks:
+            n, (start, stop) = self.n, self.spans[b]
+            records = map(sum, islice(combinations(self.units, self.k), start, stop))
+            data = b"".join(map(int.to_bytes, records, repeat(q * n), repeat("little")))
+            rows = [int.from_bytes(data[i::n], "little") for i in range(n)]
+            touched = [i for i, x in enumerate(rows) if x]
+            tops = int.from_bytes(b"\x80".rjust(q, b"\0") * (stop - start), "little")
+            self.blocks[b, q] = touched, [rows[i] for i in touched], tops
+        return self.blocks[b, q]
+
+
+# decide()'s _Columns of the last COLUMN_INDEX_ENTRIES (n, k) shapes it met, oldest first.
+COLUMN_INDEX_ENTRIES = 8
+_column_index: dict[tuple[int, int], _Columns] = {}
+
+
+def _columns(n: int, k: int, budget: Optional[int]) -> _Columns:
+    """The kept _Columns of (n, k), built on the first decide of the shape."""
+    columns = _column_index.get((n, k))
+    if columns is None:
+        columns = _Columns(n, k, budget)
+        if len(_column_index) == COLUMN_INDEX_ENTRIES:
+            del _column_index[next(iter(_column_index))]
+        _column_index[n, k] = columns
+    return columns
+
+
+def _price_block(columns: _Columns, b: int, q: int, edge: bytes) -> tuple[list[int], list[int], int]:
+    """Block b of columns at fields of q bytes, signed for one instance: the
+    rows its columns meet, one int per row whose field j is the row's entry in
+    column j, and the int with the top bit of every field set. edge holds one
+    byte per k-set, 1 on an edge: row i's entry is -1 on an edge and +1 on a
+    non-edge, and row n, the normalization row, is 1 on each non-edge."""
+    touched, rows, tops = columns.block(b, q)
+    start, stop = columns.spans[b]
+    flags = bytearray(q * (stop - start))
+    flags[::q] = edge[start:stop]
+    edges = int.from_bytes(flags, "little")
+    non_edges = (tops >> 8 * q - 1) - edges
+    packed = [x - 2 * (x & edges) for x in rows]
+    if non_edges:
+        return touched + [columns.n], packed + [non_edges], tops
+    return touched, packed, tops
 
 
 def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
@@ -242,25 +313,35 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     and field j's top bit is clear exactly when c_j < 0. The lowest clear
     top bit of the first block that has one is Bland's entering column, the
     one a column-by-column scan returns, so pivots and certificates do not
-    change. A block is built the first time a scan reaches it, from one
-    byte per row and column (so f is a whole number of bytes,
-    _price_bytes), and all are dropped, to be built again at the new width,
-    only when need outgrows f. The blocks double so that a scan stopping in
-    column j has priced at most 2j + 16 columns, one block sum each of a
-    logarithmic number of blocks. On average a scan reads 42 of 172 columns
-    on the decide-random bench's instances, 291 of 11175 on a G(150, 1/2)
-    graph.
+    change. f is a whole number of bytes (_price_bytes). A block's rows
+    come from the shape's _Columns, which builds the 0/1 vertex rows of
+    each (block, width) once, from one byte per row and column, and keeps
+    them for every later decide of (n, k); a decide signs them the first
+    time its scan reaches the block, as x - 2 (x & e) with e the block's
+    edge flags, and adds row n, the non-edge flags. All are dropped, to be
+    signed again at the new width, only when need outgrows f. The blocks
+    double so that a scan stopping in column j has priced at most 2j + 16
+    columns, one block sum each of a logarithmic number of blocks. On
+    average a scan reads 42 of 172 columns on the decide-random bench's
+    instances, 291 of 11175 on a G(150, 1/2) graph.
+
+    Two gates run before anything is built. The C(n,k) gate runs on every
+    call, at budget (KSET_BUDGET when None). A shape's first decide also
+    gates the 64-bit words of its packed state, n + 2 columns of n + 1
+    fields of w bits and n + 1 price rows of one byte per column, at
+    PACKED_WORD_BUDGET, which budget does not change; a kept _Columns
+    stands for a shape that passed it.
     """
-    rows = all_ksets(h.n, h.k, budget)
-    m = len(rows)
     n = h.n
+    check_ksets(n, h.k, budget)
+    columns = _columns(n, h.k, budget)
+    rows, spans = columns.rows, columns.spans
+    m = len(rows)
     # Column j of A' (vertex-balance rows, then the normalization row -b . y
     # = 1) is sign on the rows v - 1 of the vertices v of k-set j: -1 for an
-    # edge; +1 for a non-edge, which also has +1 in row n. Byte i of
-    # records[j] is 1 where column j has a nonzero in row i.
-    units = [1 << 8 * i for i in range(n + 1)]
-    row_n = [units[n], 0]  # indexed by whether the k-set is an edge
-    records = list(map(sum, combinations(units[:n], h.k), map(row_n.__getitem__, map(h.edges.__contains__, rows))))
+    # edge; +1 for a non-edge, which also has +1 in row n. Byte j of edge is
+    # 1 where k-set j is an edge.
+    edge = bytes(map(h.edges.__contains__, rows))
     # cols[c] = column c of d B^-1, then the rhs (e_n), packed. With half added
     # to every field none borrows, so field i of x is ((x + bias) >> w*i & mask) - half.
     w = _field_width(n, h.k)
@@ -274,9 +355,6 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     z = [0] * (n + 1) + [-1]
     d = 1
 
-    # Block b prices columns 16 (2^b - 1) up to the next block's start.
-    spans = [(start, min(2 * start + 16, m)) for start in (16 * ((1 << b) - 1) for b in range(m.bit_length()))
-             if start < m]
     blocks: list[tuple[list[int], list[int], int]] = []
     f = 0  # bits per field of the blocks
 
@@ -288,15 +366,14 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
             f, blocks = 8 * q, []
         for b, (start, stop) in enumerate(spans):
             if b == len(blocks):
-                blocks.append(_price_block(records[start:stop], n, q))
+                blocks.append(_price_block(columns, b, q, edge))
             touched, packed, tops = blocks[b]
             costs = tops + sum(map(mul, map(price.__getitem__, touched), packed))
             if negative := tops & ~costs:
                 j = (negative & -negative).bit_length() // f - 1
                 pivot_col, cost = start + j, (costs >> f * j & (1 << f) - 1) - (1 << f - 1)
-                g = rows[pivot_col]
-                entering = sum([cols[v - 1] for v in g])
-                entering = -entering if g in h.edges else entering + cols[n]
+                entering = sum([cols[v - 1] for v in rows[pivot_col]])
+                entering = -entering if edge[pivot_col] else entering + cols[n]
                 break
         else:
             # No y-column prices out: Bland's order goes on to the artificials.

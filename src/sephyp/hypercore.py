@@ -39,6 +39,7 @@ FM_VERTEX_BUDGET = 6  # vertices admitted by decide_fm
 FM_ROW_BUDGET = 200_000  # rows of one decide_fm elimination stage
 VERTEX_LIST_BUDGET = 1_000_000  # vertices, n, listed by matroid.loops, graph_orderable and a minor's mapping
 ORBIT_TABLE_BUDGET = 200_000  # permutation-table entries, n!·C(n,k), of a harness orbit decider; SEPHYP_BUDGET leaves it
+PACKED_WORD_BUDGET = 4_000_000  # 64-bit words of the packed tableau and price rows of decide; SEPHYP_BUDGET leaves it
 
 # The instance classes harness.run_enumeration walks.
 CLASSES = ("all", "graphs", "matroids", "paving", "binary", "multipartite")
@@ -151,14 +152,18 @@ def _ksets_valid(sets: Collection, n: int, k: int) -> bool:
         return False
 
 
-def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
-    """All k-subsets of [1, n] in lexicographic order.
-
-    This is the one place the C(n,k) universe is built and the one place its
-    size is checked: BudgetExceeded is raised, before anything is built, when
-    C(n,k) exceeds the budget (KSET_BUDGET when None).
-    """
+def check_ksets(n: int, k: int, budget: Optional[int] = None) -> None:
+    """The gate of the C(n,k) k-set universe: BudgetExceeded when C(n,k)
+    exceeds the budget (KSET_BUDGET when None). all_ksets runs it before
+    building anything, and feasibility.decide on every call before it reads
+    its kept copy of the universe."""
     check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], f"C({n},{k}) >= {{count}} k-sets")
+
+
+def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
+    """All k-subsets of [1, n] in lexicographic order, once check_ksets has
+    passed them: the one place the C(n,k) universe is built."""
+    check_ksets(n, k, budget)
     return tuple(combinations(range(1, n + 1), k))
 
 

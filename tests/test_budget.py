@@ -6,16 +6,18 @@ scan walks, the edge pairs times swaps of the exchange scan, the ordered basis
 pairs of the basis-exchange check, the element pairs times bases lines scans,
 the combinations the certificate search walks, the n vertices loops,
 graph_orderable and a minor's vertex mapping list, the r-monotone scan's
-pairs and lookups, and the permutations times k-sets of the harness's orbit
-tables. The capped binomial behind them is checked against math.comb."""
+pairs and lookups, the permutations times k-sets of the harness's orbit
+tables, and the 64-bit words of decide's packed tableau and price rows. The
+capped binomial behind them is checked against math.comb."""
 
 from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
 
+from sephyp import feasibility
 from sephyp.errors import BudgetExceeded
-from sephyp.feasibility import build_system, find_binary_certificate
+from sephyp.feasibility import _field_width, build_system, decide, find_binary_certificate
 from sephyp.harness import _orbit_tables, enumerate_hypergraphs, run_enumeration
 from sephyp.hypercore import (
     Hypergraph,
@@ -106,6 +108,23 @@ def test_non_edges_gated_at_the_callers_budget(operation):
     h = Hypergraph(21, 9, frozenset())
     with pytest.raises(BudgetExceeded, match=r"^C\(21,9\) >= 250001 k-sets exceeds budget 250000$"):
         operation(h, 250_000)
+
+
+def test_packed_state_gate_boundary(monkeypatch):
+    # SMALL has n = 5 and C(5,2) = 10 columns: 6 price rows of 10 one-byte
+    # fields, 2 words each, and 7 tableau columns (d B^-1 and the rhs) of 6
+    # fields of _field_width(5, 2) bits. The caller's budget caps only the
+    # k-sets, so even an unlimited one leaves this gate at its own cap.
+    work = 6 * 2 + 7 * -(-6 * _field_width(5, 2) // 64)
+    monkeypatch.setattr(feasibility, "_column_index", {})
+    monkeypatch.setattr(feasibility, "PACKED_WORD_BUDGET", work - 1)
+    with pytest.raises(BudgetExceeded,
+                       match=rf"^packed simplex state of C\(5,2\) columns in >= {work} 64-bit words exceeds budget "
+                             rf"{work - 1}$"):
+        decide(SMALL, 10 ** 100)
+    assert not feasibility._column_index
+    monkeypatch.setattr(feasibility, "PACKED_WORD_BUDGET", work)
+    assert decide(SMALL).kind == "equatable"
 
 
 def test_capped_comb_matches_comb():

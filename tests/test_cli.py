@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -534,6 +535,21 @@ class TestLargeInstance:
         inst = tmp_path / "huge.json"
         inst.write_text(json.dumps({"type": "hypergraph", "n": n, "k": n // 2, "edges": []}))
         assert self.cli(argv[0], str(inst), *argv[1:]).returncode == 65
+
+    @pytest.mark.parametrize("n, k, budget", [
+        # C(n,k) = n passes the k-set gate, by default or at any budget, but
+        # decide's packed tableau holds about n^3 log(k+1) / 128 words
+        (100_000, 1, ""), (3000, 1, ""), (3000, 2999, ""), (3000, 1, str(10 ** 100)),
+    ], ids=["n=100000-k=1", "n=3000-k=1", "n=3000-k=2999", "n=3000-k=1-budget=10^100"])
+    def test_packed_state_refused(self, tmp_path, n, k, budget):
+        inst = tmp_path / "wide.json"
+        edges = [[1], [5]] if k == 1 else [list(range(1, n)), list(range(2, n + 1))]
+        inst.write_text(json.dumps({"type": "hypergraph", "n": n, "k": k, "edges": edges}))
+        begun = time.perf_counter()
+        done = self.cli("decide", str(inst), budget=budget)
+        assert done.returncode == 65 and done.stderr.startswith(b"budget exceeded: packed simplex state of "), \
+            done.stderr.decode()
+        assert time.perf_counter() - begun < 10
 
     @pytest.mark.parametrize("budget, argv", [
         ("", ["adversary", "--k", "7500"]),

@@ -375,6 +375,26 @@ class TestGoldenCertificates:
             "97696354384f8ba17c16e3d2d61ca26325c2642096e62923d1d993aeebe3d13a"
         )
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bench_sized_sample(self, monkeypatch, warm):
+        # decide-random-sized instances, recorded before decide kept its k-set
+        # columns across calls: each decide on an empty index, or every one on
+        # an index already holding its shape
+        monkeypatch.setattr(feasibility, "_column_index", {})
+        sample = _decide_random_sample()
+        if warm:
+            for h in sample:
+                decide(h)
+
+        def decider(h):
+            if not warm:
+                feasibility._column_index.clear()
+            return decide(h)
+
+        assert _certificate_digest(sample, decider) == (
+            "cb87f97e62fe197256b4bec677d46466e0c0835ec4313b8cfe58ce5cfde2a471"
+        )
+
     def test_fm_exhaustive(self):
         # decide_fm on every hypergraph with 2 <= n <= 5, recorded before
         # its row scaling was shared with decide
@@ -491,6 +511,16 @@ class TestPackedTableau:
         instances.append(Hypergraph(30, 3, frozenset(combinations(range(1, 31), 3))))  # no pivot: every block is built
         expected = [_list_tableau_decide(h) for h in instances]
         assert {cert.kind for cert in expected} == {"separable", "equatable"}
+        monkeypatch.setattr(feasibility, "_column_index", {})
+
+        def agree(cold):
+            # cold: the index holds nothing when each decide starts; warm: it
+            # holds what the earlier instances of the shape built
+            for h, cert in zip(instances, expected):
+                if cold:
+                    feasibility._column_index.clear()
+                assert decide(h) == cert, (cold, h.n, h.k, sorted(h.edges))
+
         # Fields start at the narrowest whole byte and widen as the costs grow:
         # count the instances whose blocks are dropped and rebuilt wider.
         fewest = feasibility._price_bytes
@@ -498,15 +528,47 @@ class TestPackedTableau:
         monkeypatch.setattr(feasibility, "_price_bytes", lambda need: widths.append(need) or fewest(need))
         rebuilt = 0
         for h, cert in zip(instances, expected):
+            feasibility._column_index.clear()
             start = len(widths)
             assert decide(h) == cert, (h.n, h.k, sorted(h.edges))
             assert fewest(widths[start]) == 1
             rebuilt += len(widths) > start + 1
         assert rebuilt >= 5
-        # Again with a spare byte in every field.
+        agree(cold=False)
+        # Again with a spare byte in every field: the index builds rows of two
+        # bytes or more per field, and never reads the one-byte rows.
         monkeypatch.setattr(feasibility, "_price_bytes", lambda need: fewest(need) + 1)
-        for h, cert in zip(instances, expected):
-            assert decide(h) == cert, (h.n, h.k, sorted(h.edges))
+        for cold in (True, False):
+            feasibility._column_index.clear()
+            agree(cold)
+            built = [q for columns in feasibility._column_index.values() for _, q in columns.blocks]
+            assert built and min(built) >= 2
+
+    def test_warm_shape_still_gated(self, monkeypatch, counterexample_nine):
+        # the C(n,k) gate runs at the caller's budget on every call, before
+        # the index is read
+        monkeypatch.setattr(feasibility, "_column_index", {})
+        message = r"^C\(9,3\) >= 84 k-sets exceeds budget 83$"
+        with pytest.raises(BudgetExceeded, match=message):
+            decide(counterexample_nine, budget=83)
+        assert not feasibility._column_index
+        expected = decide(counterexample_nine, budget=84)
+        assert list(feasibility._column_index) == [(9, 3)]
+        with pytest.raises(BudgetExceeded, match=message):
+            decide(counterexample_nine, budget=83)
+        assert decide(counterexample_nine) == expected
+
+    def test_index_keeps_at_most_its_entries(self, monkeypatch):
+        monkeypatch.setattr(feasibility, "_column_index", {})
+        shapes = [(n, k) for n in range(3, 8) for k in range(1, n)]
+        entries = feasibility.COLUMN_INDEX_ENTRIES
+        assert len(shapes) > 2 * entries
+        for n, k in shapes:
+            h = Hypergraph(n, k, frozenset(combinations(range(1, n + 1), k)))
+            assert decide(h).kind == "separable"
+            assert len(feasibility._column_index) <= entries
+        # the oldest shape leaves first
+        assert list(feasibility._column_index) == shapes[-entries:]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_width_holds_every_minor(self, n):
