@@ -8,7 +8,8 @@ per row, wide enough by Hadamard's bound for any value the fraction-free
 pivots store. Bland's scan prices a block of k-set columns with one sum of
 packed ints, their fields as wide as the costs they hold. What those columns
 are depends on (n, k) alone, so decide() keeps the k-set universe and the
-blocks' 0/1 vertex rows for the last few shapes it met (_Columns), behind
+blocks' 0/1 vertex rows for the last few shapes it met that are not too
+large to keep (_Columns), behind
 the C(n,k) gate at the caller's budget and a gate on the words of packed
 state, and builds only each instance's edge flags and signs. decide_fm() keeps
 every Fourier-Motzkin row as coprime ints, so Fractions appear there only in
@@ -198,15 +199,17 @@ class _Columns:
     pricing blocks, and each block built so far, keyed by block and field
     width q. Made only once the shape's packed state passes its gate, which
     counts one byte per field; a block is kept once per width asked for,
-    one or two bytes on every instance measured."""
+    one or two bytes on every instance measured. words is the price rows'
+    part of that count."""
 
-    __slots__ = ("n", "k", "rows", "spans", "units", "blocks")
+    __slots__ = ("n", "k", "rows", "spans", "units", "blocks", "words")
 
     def __init__(self, n: int, k: int, budget: Optional[int]) -> None:
         m = comb(n, k)
+        self.words = (n + 1) * -(-m // 8)  # price rows: at most n + 1 per block, one byte per column
 
         def words(cap: int) -> Iterator[int]:
-            yield (n + 1) * -(-m // 8)  # price rows: at most n + 1 per block, one byte per column
+            yield self.words
             # n + 2 columns of d B^-1 and the rhs, n + 1 fields each. As (k+1)^(n+1) >= 2^(n+1), the field
             # width is at least (n + 2) // 2 + 2, and a tableau already past the cap at that width is refused
             # before the width, a power of about n log(k+1) bits, is worked out.
@@ -242,19 +245,24 @@ class _Columns:
         return self.blocks[b, q]
 
 
-# decide()'s _Columns of the last COLUMN_INDEX_ENTRIES (n, k) shapes it met, oldest first.
+# decide()'s _Columns of the last COLUMN_INDEX_ENTRIES (n, k) shapes it met and kept, oldest first.
 COLUMN_INDEX_ENTRIES = 8
 _column_index: dict[tuple[int, int], _Columns] = {}
 
 
 def _columns(n: int, k: int, budget: Optional[int]) -> _Columns:
-    """The kept _Columns of (n, k), built on the first decide of the shape."""
+    """The kept _Columns of (n, k), built on the first decide of the shape. A
+    shape whose price rows take more than a COLUMN_INDEX_ENTRIES-th of
+    PACKED_WORD_BUDGET words is built for each decide and not kept, so the
+    index holds at most PACKED_WORD_BUDGET of them (G(250, 1/2) is past its
+    share, G(150, 1/2) within it)."""
     columns = _column_index.get((n, k))
     if columns is None:
         columns = _Columns(n, k, budget)
-        if len(_column_index) == COLUMN_INDEX_ENTRIES:
-            del _column_index[next(iter(_column_index))]
-        _column_index[n, k] = columns
+        if columns.words <= PACKED_WORD_BUDGET // COLUMN_INDEX_ENTRIES:
+            if len(_column_index) == COLUMN_INDEX_ENTRIES:
+                del _column_index[next(iter(_column_index))]
+            _column_index[n, k] = columns
     return columns
 
 
@@ -326,7 +334,8 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     instances, 291 of 11175 on a G(150, 1/2) graph.
 
     Two gates run before anything is built. The C(n,k) gate runs on every
-    call, at budget (KSET_BUDGET when None). A shape's first decide also
+    call, at budget (KSET_BUDGET when None). A decide that builds its
+    shape's _Columns (the first, or each of a shape too large to keep) also
     gates the 64-bit words of its packed state, n + 2 columns of n + 1
     fields of w bits and n + 1 price rows of one byte per column, at
     PACKED_WORD_BUDGET, which budget does not change; a kept _Columns

@@ -27,24 +27,33 @@ verified per instance, in the manner of orbit-wise isomorph-free generation
 instance of an orbit is decided, and every other one gets that
 certificate moved by the vertex permutation between them and checked on
 itself with the public verifier, so no instance is classified unchecked.
-The law checks stay per instance.
+The law checks stay per instance. Their budget gates do not: each gate's
+count is bounded by the run's (n, k), and where that bound passes the
+gate's default cap, checked once per run (MaskTables.law_budgets), every
+instance would pass the gate, so the call is made with the budget PROVEN
+and skips it. The scans' tables that depend on (n, k) alone are built once
+per run, on MaskTables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations, permutations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import hypercore, matroid
 from .errors import BudgetExceeded, Inapplicable, InternalVerificationError, RankCollapse
 from .feasibility import Certificate, EquatableCertificate, SeparableCertificate, decide, verify_equatable, verify_separating
 from .hypercore import (
     CLASSES,
     ENUMERATION_BUDGET,
     ORBIT_TABLE_BUDGET,
+    PROVEN,
     ExchangeWitness,
     Hypergraph,
     _mask_kset,
+    _monotone_work,
     _vertex_mask,
     all_ksets,
     capped_comb,
@@ -55,6 +64,7 @@ from .hypercore import (
     graph_orderable,
     is_exchangeable,
     is_r_monotone,
+    monotone_pairs,
     record,
 )
 from .matroid import (
@@ -104,6 +114,70 @@ class MaskTables:
 
     def is_paving_mask(self, mask: int) -> bool:
         return _mask_is_paving(_at_bits(self.vertex_masks, mask), self.n, self.k)
+
+    @cached_property
+    def law_budgets(self) -> dict[str, object]:
+        """The budget each gated call of run_enumeration passes, by name: PROVEN
+        when an upper bound, from the run's n, k and m = C(n,k) alone, on every
+        count the call's gates take is within those gates' default caps, read
+        where the gates read them, so that every instance of the run passes
+        them; else None, and the gates run per instance with their messages.
+
+        The bounds. An instance, its complement and its dual (C(n, n-k) = m
+        sets) have at most m edges, and a minor, on n - 1 elements at rank k or
+        k - 1, at most C(n-1, k) or C(n-1, k-1), each at most m by Pascal's
+        rule. So, with |E| or |B| edges or bases:
+        - masks: each edge's mask takes (v >> 6) + 1 words, v <= n its last
+          vertex, counted where a hypergraph's masks are first built: in the
+          orbit decider, or after the gates of the basis-exchange check, the
+          exchange scan or a minor's mapping, so those budgets count it too;
+        - bases: a matroid's basis-exchange check counts |B|^2 <= m^2;
+        - circuits: |B|·k·(n-k) <= m·k·(n-k) basis lookups;
+        - exchange: |E|^2·k^2 <= m^2·k^2, on an instance and its complement, and
+          dual_exchange: m^2·(n-k)^2 on the dual, whose k is n - k;
+        - ksets: the C(n,k) universe is m k-sets;
+        - quadruple: m k-sets, and as |non-edges| + |E| = m, C(|non-edges|,2) +
+          C(|E|,2) <= C(m,2), the pairs of quadruple_table too;
+        - monotone: its count is n's, k's and r's alone;
+        - ordering, loops: n vertices listed; delete: n mapped, and the minor's
+          basis exchange and masks as above; lines: n, and C(n,2)·|B| <= C(n,2)·m.
+        """
+        n, k, m = self.n, self.k, self.m
+        pairs, basis_pairs, vertices = hypercore.PAIR_SCAN_BUDGET, matroid.PAIR_SCAN_BUDGET, matroid.VERTEX_LIST_BUDGET
+        words = (hypercore.MASK_WORD_BUDGET, m * ((n >> 6) + 1))
+        bounds = {
+            "masks": [words],
+            "bases": [(basis_pairs, m * m), words],
+            "circuits": [(basis_pairs, m * k * (n - k))],
+            "exchange": [(pairs, m * m * k * k), words],
+            "dual_exchange": [(pairs, m * m * (n - k) ** 2), words],
+            "ksets": [(hypercore.KSET_BUDGET, m)],
+            "quadruple": [(hypercore.KSET_BUDGET, m), (pairs, m * (m - 1) // 2)],
+            # each term capped at pairs + 1, so the sum passes pairs exactly when the count does
+            "monotone": [(pairs, sum(_monotone_work(n, k, 2)(pairs)))],
+            "ordering": [(hypercore.VERTEX_LIST_BUDGET, n)],
+            "loops": [(vertices, n)],
+            "delete": [(vertices, n), (basis_pairs, m * m), words],
+            "lines": [(vertices, n), (basis_pairs, n * (n - 1) // 2 * m)],
+        }
+        return {name: PROVEN if all(count <= cap for cap, count in bound) else None for name, bound in bounds.items()}
+
+    @cached_property
+    def quadruple_table(self) -> Optional[dict[tuple[int, int], list[tuple[int, int]]]]:
+        """find_summable_quadruple's table of every k-set: each (intersection, union) signature of two k-set pairs
+        or more, and those pairs in combinations order; an edge pair alone under its signature meets no non-edge
+        pair. None unless the quadruple bound is proven, as it counts these C(m, 2) pairs too."""
+        if self.law_budgets["quadruple"] is None:
+            return None
+        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for pair in combinations(self.vertex_masks, 2):
+            table.setdefault((pair[0] & pair[1], pair[0] | pair[1]), []).append(pair)
+        return {signature: pairs for signature, pairs in table.items() if len(pairs) > 1}
+
+    @cached_property
+    def monotone_table(self) -> Optional[list[list[tuple[int, int]]]]:
+        """is_r_monotone's lookups at r = 2; None unless the monotone bound, which counts them, is proven."""
+        return None if self.law_budgets["monotone"] is None else list(monotone_pairs(self.n, self.k, 2))
 
 
 def _matroid_masks(n: int, k: int) -> Iterator[int]:
@@ -237,10 +311,11 @@ class _OrbitDecider:
         self.seen: dict[int, int] = {}
         self.certs: list[Certificate] = []
 
-    def decide(self, h: Hypergraph) -> Certificate:
+    def decide(self, h: Hypergraph, budget: Optional[int] = None) -> Certificate:
+        """h's certificate; budget gates the first build of h's edge masks."""
         if not self.tables:
             return decide(h)
-        mask = sum(map(self.bit.__getitem__, h.edge_masks()))
+        mask = sum(map(self.bit.__getitem__, h.edge_masks(budget)))
         code = self.seen.get(mask)
         if code is not None:
             rep, j = divmod(code, len(self.perms))
@@ -282,9 +357,10 @@ class _Instance:
     matroid: Optional[BasisMatroid]  # None unless the instance is a matroid
     proved: bool  # in a class where equatable iff exchangeable is proved
     decide: Callable[[Hypergraph], Certificate]  # the run's, once per orbit
+    tables: MaskTables  # the run's: its law budgets and scan tables
 
     def check_quadruple(self) -> Iterator[str]:
-        quad = find_summable_quadruple(self.h)
+        quad = find_summable_quadruple(self.h, self.tables.law_budgets["quadruple"], self.tables.quadruple_table)
         if self.witness is not None and quad is None:
             yield "exchange witness exists but no summable quadruple"
         if quad is not None:
@@ -294,11 +370,13 @@ class _Instance:
                 yield f"explicit quadruple labeling fails for {quad}"
 
     def check_monotone(self) -> Iterator[str]:
-        if is_r_monotone(self.h, 2) != (self.witness is None):
+        if is_r_monotone(self.h, 2, self.tables.law_budgets["monotone"], self.tables.monotone_table) != (
+                self.witness is None):
             yield "2-monotone disagrees with not-exchangeable"
 
     def check_transforms(self) -> Iterator[str]:
-        comp, dual_h, kind = complement(self.h), dual(self.h), self.cert.kind
+        budgets = self.tables.law_budgets
+        comp, dual_h, kind = complement(self.h, budgets["ksets"]), dual(self.h), self.cert.kind
         comp_kind, dual_kind = self.decide(comp).kind, self.decide(dual_h).kind
         if comp_kind != kind or dual_kind != kind:
             yield f"kinds differ: {kind}/{comp_kind}/{dual_kind}"
@@ -306,7 +384,8 @@ class _Instance:
             universe = _vertex_mask(range(1, self.h.n + 1))
             if not verify_equatable(dual_h, {_mask_kset(universe ^ _vertex_mask(g)): val for g, val in self.cert.y}):
                 yield "transported dual labeling fails verification"
-        if not (self.witness is None) == (is_exchangeable(comp) is None) == (is_exchangeable(dual_h) is None):
+        if not ((self.witness is None) == (is_exchangeable(comp, budgets["exchange"]) is None)
+                == (is_exchangeable(dual_h, budgets["dual_exchange"]) is None)):
             yield "exchangeability not preserved by complement/dual"
 
     def check_theorems(self) -> Iterator[str]:
@@ -314,29 +393,31 @@ class _Instance:
         if self.proved and (kind == "equatable") != (self.witness is not None):
             yield f"{kind} but exchangeable = {self.witness is not None}"
         if self.h.k == 2:
-            ordering = graph_orderable(self.h)
+            ordering = graph_orderable(self.h, self.tables.law_budgets["ordering"])
             if (ordering is not None) != (kind == "separable"):
                 yield f"orderable = {ordering is not None} but {kind}"
 
     def check_loops(self) -> Iterator[str]:
-        loop_set = loops(self.matroid) if self.matroid is not None else None
+        budgets = self.tables.law_budgets
+        loop_set = loops(self.matroid, budgets["loops"]) if self.matroid is not None else None
         if loop_set:
             try:
-                minor, _ = delete(self.matroid, min(loop_set))
+                minor, _ = delete(self.matroid, min(loop_set), budgets["delete"])
             except RankCollapse:
                 return  # k = n-1 minor not representable under 1 <= k < n
             if self.decide(minor.carrier).kind != self.cert.kind:
                 yield f"kind changes when deleting loop {min(loop_set)}"
 
     def check_lines(self) -> Iterator[str]:
-        if self.matroid is not None and not loops(self.matroid):
-            if lines(self.matroid).nontrivial_count >= 2 and self.witness is None:
+        budgets = self.tables.law_budgets
+        if self.matroid is not None and not loops(self.matroid, budgets["loops"]):
+            if lines(self.matroid, budgets["lines"]).nontrivial_count >= 2 and self.witness is None:
                 yield "two nontrivial lines but no exchange witness"
 
     def check_circuit_elimination(self) -> Iterator[str]:
         """The first circuit pair, shared v and u in the first only (ascending)
         with no circuit through u inside the union less v."""
-        circ = _circuit_masks(self.matroid) if self.matroid is not None else ()
+        circ = _circuit_masks(self.matroid, self.tables.law_budgets["circuits"]) if self.matroid is not None else ()
         for c1 in circ:
             for c2 in circ:
                 shared = c1 & c2 if c1 != c2 else 0
@@ -376,13 +457,14 @@ def run_enumeration(n: int, k: int, klass: str = "all", checks: Iterable[str] = 
         raise Inapplicable(f"enumeration needs 1 <= k < n, got n={n} k={k}")
 
     tables = MaskTables(n, k, budget)
+    budgets = tables.law_budgets
     orbits: dict[tuple[int, int], _OrbitDecider] = {}
 
     def decide_once(g: Hypergraph) -> Certificate:
         """decide through the orbit decider of g's (n, k), made on first use."""
         if (g.n, g.k) not in orbits:
             orbits[g.n, g.k] = _OrbitDecider(g.n, g.k)
-        return orbits[g.n, g.k].decide(g)
+        return orbits[g.n, g.k].decide(g, budgets["masks"])
 
     counts = dict.fromkeys(("total", "separable", "equatable", "exchangeable", "matroids", "paving", "binary"), 0)
     violations: list[dict] = []
@@ -400,8 +482,8 @@ def run_enumeration(n: int, k: int, klass: str = "all", checks: Iterable[str] = 
         if klass == "paving" and not paving:
             continue
         h = tables.hypergraph(mask)
-        basis_matroid = BasisMatroid(h) if matroid_mask else None
-        binary = matroid_mask and is_binary(basis_matroid)
+        basis_matroid = BasisMatroid(h, budgets["bases"]) if matroid_mask else None
+        binary = matroid_mask and is_binary(basis_matroid, budgets["circuits"])
         if klass == "binary" and not binary:
             continue
 
@@ -412,11 +494,11 @@ def run_enumeration(n: int, k: int, klass: str = "all", checks: Iterable[str] = 
 
         cert = decide_once(h)
         counts[cert.kind] += 1
-        witness = is_exchangeable(h)
+        witness = is_exchangeable(h, budgets["exchange"])
         if witness is not None:
             counts["exchangeable"] += 1
         proved = k <= 2 or klass == "multipartite" or (matroid_mask and (k == 3 or paving or binary))
-        x = _Instance(h, cert, witness, basis_matroid, proved, decide_once)
+        x = _Instance(h, cert, witness, basis_matroid, proved, decide_once, tables)
         for name, check in selected:
             for detail in check(x):
                 violations.append({"check": name, "n": n, "k": k, "edges": [list(e) for e in h.sorted_edges()],

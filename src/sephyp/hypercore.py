@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import accumulate, chain, combinations
+from math import comb
 from operator import attrgetter, lt
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, FormatError, InvalidPartition, NotAGraph
 
@@ -99,11 +100,25 @@ def capped_comb(n: int, k: int, cap: int) -> int:
     return min(c, cap + 1)
 
 
+class _Proven:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PROVEN"
+
+
+# The budget of a call whose caller has already put an upper bound on every count the call's gates take through
+# check_budget, at those gates' default caps: each gate given it is skipped, so the call runs as with None.
+# harness.run_enumeration passes it to the law checks, whose counts its run's (n, k) bound.
+PROVEN = _Proven()
+
+
 def check_budget(budget: Optional[int], default: int, work: Callable[[int], Iterable[int]], what: str) -> None:
     """The one budget gate, run before an operation starts its loop. The cap is
     budget, or the operation's default when None. work(cap) yields the work as
     terms, kept small with capped_comb; the first running total past the cap
-    stops the sum and raises BudgetExceeded, naming what with {count} filled in."""
+    stops the sum and raises BudgetExceeded, naming what with {count} filled in.
+    A caller passing PROVEN down as its budget makes no call here."""
     cap = default if budget is None else budget
     count = next((total for total in accumulate(work(cap), initial=0) if total > cap), None)
     if count is not None:
@@ -157,7 +172,8 @@ def check_ksets(n: int, k: int, budget: Optional[int] = None) -> None:
     exceeds the budget (KSET_BUDGET when None). all_ksets runs it before
     building anything, and feasibility.decide on every call before it reads
     its kept copy of the universe."""
-    check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], f"C({n},{k}) >= {{count}} k-sets")
+    if budget is not PROVEN:
+        check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], f"C({n},{k}) >= {{count}} k-sets")
 
 
 def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
@@ -220,8 +236,9 @@ class Hypergraph:
         for reuse, which held about 1 MB more at peak over a (6,3) matroid corpus."""
         if not hasattr(self, "_masks"):
             edges = self.sorted_edges()
-            check_budget(budget, MASK_WORD_BUDGET, lambda cap: ((e[-1] >> 6) + 1 for e in edges),
-                         f"vertex masks of {len(edges)} edges in >= {{count}} 64-bit words")
+            if budget is not PROVEN:
+                check_budget(budget, MASK_WORD_BUDGET, lambda cap: ((e[-1] >> 6) + 1 for e in edges),
+                             f"vertex masks of {len(edges)} edges in >= {{count}} 64-bit words")
             object.__setattr__(self, "_masks", list(map(_vertex_mask, edges)))
         return self._masks
 
@@ -359,9 +376,9 @@ def is_valid_graph_ordering(h: Hypergraph, o: GraphOrdering) -> bool:
                for j, (tag, hits) in enumerate(zip(o.tags, earlier)))
 
 
-def complement(h: Hypergraph) -> Hypergraph:
-    """All k-subsets of [1, n] not in h."""
-    return Hypergraph(h.n, h.k, frozenset(all_ksets(h.n, h.k)) - h.edges)
+def complement(h: Hypergraph, budget: Optional[int] = None) -> Hypergraph:
+    """All k-subsets of [1, n] not in h, gated by all_ksets."""
+    return Hypergraph(h.n, h.k, frozenset(all_ksets(h.n, h.k, budget)) - h.edges)
 
 
 def dual(h: Hypergraph) -> Hypergraph:
@@ -374,8 +391,9 @@ def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Exc
     """First exchange witness in lexicographic (e1, e2, v1, v2) order, or None.
     The |E|^2 ordered edge pairs times k^2 swaps are gated first
     (PAIR_SCAN_BUDGET when budget is None)."""
-    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2 * h.k ** 2],
-                 f"exchange scan of {len(h.edges)} edges")
+    if budget is not PROVEN:
+        check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2 * h.k ** 2],
+                     f"exchange scan of {len(h.edges)} edges")
     masks = h.edge_masks(budget)
     present = set(masks)
     for s1 in masks:
@@ -391,58 +409,80 @@ def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Exc
     return None
 
 
-def find_summable_quadruple(h: Hypergraph, budget: Optional[int] = None) -> Optional[SummableQuadruple]:
+def find_summable_quadruple(h: Hypergraph, budget: Optional[int] = None,
+                            table: Optional[dict[tuple[int, int], Sequence[tuple[int, int]]]] = None
+                            ) -> Optional[SummableQuadruple]:
     """First (edge pair, non-edge pair) with equal intersection and union.
 
-    Search order is lexicographic over edge pairs, then non-edge pairs; the
-    non-edge pairs are pre-indexed by their (intersection, union) signature,
-    which returns the same first match as the naive nested scan. The k-set
-    universe behind the non-edges, then the pairs walked, are gated first
-    (KSET_BUDGET and PAIR_SCAN_BUDGET when budget is None).
+    Search order is lexicographic over edge pairs, then non-edge pairs. table
+    maps an (intersection, union) signature to k-set mask pairs in
+    combinations order; the first pair under an edge pair's signature with
+    both sets absent is the first match of the naive nested scan. Without a
+    table, one is built from the non-edges, each signature's first pair only;
+    harness.MaskTables.quadruple_table is one built from every k-set, once
+    per run. The k-set universe behind the non-edges, then the pairs of
+    non-edges and of edges, are gated first, table or not (KSET_BUDGET and
+    PAIR_SCAN_BUDGET when budget is None).
     """
-    non = h.non_edges(budget)
-    check_budget(budget, PAIR_SCAN_BUDGET,
-                 lambda cap: [capped_comb(len(non), 2, cap), capped_comb(len(h.edges), 2, cap)],
-                 f"summable-quadruple scan of {len(h.edges)} edges and {len(non)} non-edges")
+    n, k, edges = h.n, h.k, h.edges
+    if budget is not PROVEN:
+        check_ksets(n, k, budget)
+        non = comb(n, k) - len(edges)  # small, as C(n,k) passed
+        check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(non, 2, cap), capped_comb(len(edges), 2, cap)],
+                     f"summable-quadruple scan of {len(edges)} edges and {non} non-edges")
     masks = h.edge_masks(budget)
-    first_pair: dict[tuple[int, int], tuple[int, int]] = {}  # signature -> first non-edge mask pair
-    for pair in combinations(map(_vertex_mask, non), 2):  # a pair tuple is kept only when stored
-        first_pair.setdefault((pair[0] & pair[1], pair[0] | pair[1]), pair)
+    if table is None:
+        table = {}
+        for pair in combinations(map(_vertex_mask, h.non_edges(PROVEN)), 2):  # a pair tuple is kept only when stored
+            signature = (pair[0] & pair[1], pair[0] | pair[1])
+            if signature not in table:
+                table[signature] = (pair,)
+    present = set(masks)
     for s1, s2 in combinations(masks, 2):
-        hit = first_pair.get((s1 & s2, s1 | s2))
-        if hit is not None:
-            return SummableQuadruple(*map(_mask_kset, (s1, s2, *hit)))
+        for f1, f2 in table.get((s1 & s2, s1 | s2), ()):
+            if f1 not in present and f2 not in present:
+                return SummableQuadruple(*map(_mask_kset, (s1, s2, f1, f2)))
     return None
 
 
-def _comparable(present: set[int], vertices: list[int], k: int, r1: int, r2: int) -> bool:
-    """Vertex masks r1 <= r2 or r2 <= r1 in the edge-implication order of the
-    edge masks present, by full enumeration of the k-sets S + r1 and S + r2
-    for S among the vertex bits outside r1 and r2."""
-    rest = [b for b in vertices if not b & (r1 | r2)]
-    ssize = k - r1.bit_count()
-    if ssize < 0 or ssize > len(rest):
-        return True
-    le12 = le21 = True
-    for c in combinations(rest, ssize):
-        s = sum(c)
-        in1, in2 = (s | r1) in present, (s | r2) in present
-        if in1 and not in2:
-            le12 = False
-        if in2 and not in1:
-            le21 = False
-        if not le12 and not le21:
-            return False
-    return True
+def _monotone_work(n: int, k: int, r: int) -> Callable[[int], Iterator[int]]:
+    """The work the r-monotone gate counts, which depends on n, k and r alone: C(n,s)^2 ordered pairs of s-sets,
+    s < r, and for each pair with union size u <= r, C(n-u, k-s) k-set lookups (none when s > k). A product with a
+    capped factor passes cap unless another factor is 0."""
+    def work(cap: int) -> Iterator[int]:
+        for s in range(1, r):
+            yield capped_comb(n, s, cap) ** 2
+            for u in range(s + 1, min(r, 2 * s) + 1) if s <= k else ():
+                yield (capped_comb(n, u, cap) * capped_comb(u, s, cap)
+                       * capped_comb(s, 2 * s - u, cap) * capped_comb(n - u, k - s, cap))
+    return work
 
 
-def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
+def monotone_pairs(n: int, k: int, r: int) -> Iterator[list[tuple[int, int]]]:
+    """For each unordered pair r1, r2 of distinct s-sets (vertex masks), s < r, with a union of at most r vertices
+    and some k-set through either, the lookups (S + r1, S + r2) for every (k-s)-set S of the vertices outside both;
+    by ascending s, then in combinations order. A pair with no such k-set compares equal and is left out."""
+    vertices = [1 << v for v in range(1, n + 1)]
+    for size in range(1, r):
+        for r1, r2 in combinations([sum(c) for c in combinations(vertices, size)], 2):
+            union = r1 | r2
+            if union.bit_count() <= r and 0 <= k - size <= n - union.bit_count():
+                rest = [b for b in vertices if not b & union]
+                yield [(s | r1, s | r2) for s in map(sum, combinations(rest, k - size))]
+
+
+def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None,
+                  table: Optional[Iterable[list[tuple[int, int]]]] = None) -> bool:
     """Whether all equal-size vertex subsets with union of size <= r are
     comparable in the edge-implication order. Two distinct r-sets have a
     larger union, so the subsets compared have at most r - 1 vertices.
 
-    _comparable tests both directions, so each unordered pair is compared
-    once. The gate (PAIR_SCAN_BUDGET when budget is None) still counts the
+    r1 and r2 compare when the edges through one, less it, are among those
+    through the other: when the lookups of their entry of table, made by
+    monotone_pairs(n, k, r) here or once per run by the harness
+    (MaskTables.monotone_table, r = 2), never find one set present and the
+    other absent in both directions. Each unordered pair is compared once.
+    The gate (PAIR_SCAN_BUDGET when budget is None) still counts the
     C(n,s)^2 ordered pairs of s-sets and the lookups of ordered pairs, so its
     count is an upper bound on the work done, about twice it."""
     if not 1 <= r <= h.n:
@@ -450,24 +490,13 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None) -> bool:
     if r == 1:
         return True  # no pair of distinct singletons has a 1-vertex union; skip listing n vertices
     n, k = h.n, h.k
-
-    def work(cap: int) -> Iterator[int]:
-        # C(n,s)^2 ordered pairs of s-sets, s < r; each pair with union size u <= r
-        # costs C(n-u, k-s) k-set lookups in _comparable (none when s > k).
-        # A product with a capped factor passes cap unless another factor is 0.
-        for s in range(1, r):
-            yield capped_comb(n, s, cap) ** 2
-            for u in range(s + 1, min(r, 2 * s) + 1) if s <= k else ():
-                yield (capped_comb(n, u, cap) * capped_comb(u, s, cap)
-                       * capped_comb(s, 2 * s - u, cap) * capped_comb(n - u, k - s, cap))
-
-    check_budget(budget, PAIR_SCAN_BUDGET, work, f"{r}-monotone scan on n={n}, k={k}")
+    if budget is not PROVEN:
+        check_budget(budget, PAIR_SCAN_BUDGET, _monotone_work(n, k, r), f"{r}-monotone scan on n={n}, k={k}")
     present = set(h.edge_masks(budget))
-    vertices = [1 << v for v in range(1, n + 1)]
-    for size in range(1, r):
-        for r1, r2 in combinations([sum(c) for c in combinations(vertices, size)], 2):
-            if (r1 | r2).bit_count() <= r and not _comparable(present, vertices, k, r1, r2):
-                return False
+    for lookups in monotone_pairs(n, k, r) if table is None else table:
+        seen = {(a in present) - (b in present) for a, b in lookups}
+        if 1 in seen and -1 in seen:
+            return False
     return True
 
 
@@ -495,7 +524,8 @@ def graph_orderable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Gra
     """
     if h.k != 2:
         raise NotAGraph(f"orderability is defined for k=2, got k={h.k}")
-    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [h.n], f"ordering {h.n} vertices")
+    if budget is not PROVEN:
+        check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [h.n], f"ordering {h.n} vertices")
     adj: dict[int, set[int]] = {v: set() for v in range(1, h.n + 1)}
     for a, b in h.edges:
         adj[a].add(b)

@@ -320,7 +320,7 @@ class TestEnumerate:
         assert code == 0 and "total=64" in out and "violations: none" in out
 
     def test_violation_exits_internal(self, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r: False)
+        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r, *run: False)
         code, out, err = run(capsys, "enumerate", "--n", "4", "--k", "2", "--check", "theorems")
         assert code == 70 and "VIOLATION [monotone]" in out
         assert err == "theorem violation found; this is a bug in the build\n"

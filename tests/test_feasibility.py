@@ -1,7 +1,9 @@
 """Exact LP decision, verifiers, Fourier-Motzkin route, and 0/1 search."""
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -569,6 +571,28 @@ class TestPackedTableau:
             assert len(feasibility._column_index) <= entries
         # the oldest shape leaves first
         assert list(feasibility._column_index) == shapes[-entries:]
+
+    def test_index_keeps_no_shape_too_large(self, monkeypatch):
+        # K250's price rows take 251 * ceil(C(250,2) / 8) words, past a
+        # COLUMN_INDEX_ENTRIES-th of PACKED_WORD_BUDGET: after its decide and
+        # those of the six decide-random shapes, which are all kept, its
+        # universe and rows are freed (the kept entry held about 7.5 MB)
+        monkeypatch.setattr(feasibility, "_column_index", {})
+        large = Hypergraph(250, 2, frozenset(combinations(range(1, 251), 2)))
+        shapes = list(product((9, 10, 11), (3, 4)))
+        small = [Hypergraph(n, k, frozenset(combinations(range(1, n + 1), k))) for n, k in shapes]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert decide(large).kind == "separable"
+            assert {decide(h).kind for h in small} == {"separable"}
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert list(feasibility._column_index) == shapes
+        assert held < 1_000_000
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_width_holds_every_minor(self, n):

@@ -3,13 +3,14 @@
 import gc
 import hashlib
 import random
+import re
 from itertools import combinations, groupby
 from math import comb
 from types import SimpleNamespace
 
 import pytest
 
-from sephyp import harness
+from sephyp import feasibility, harness, hypercore, matroid
 from sephyp.errors import BudgetExceeded, InternalVerificationError, RankZero
 from sephyp.harness import ALL_CHECKS, CLASSES, MaskTables, canonical_partition, enumerate_hypergraphs, run_enumeration
 from sephyp.hypercore import Hypergraph
@@ -256,7 +257,7 @@ class TestRunEnumeration:
         # a wrong 2-monotone answer flags every one of the 2053 3-matroids on
         # six elements, so the digest pins the order they are visited in
         right = harness.is_r_monotone
-        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r: not right(h, r))
+        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r, *run: not right(h, r))
         report = run_enumeration(6, 3, "matroids", {"monotone"})
         assert len(report.violations) == 2053
         digest = hashlib.sha256(dumps(report.as_obj()).encode()).hexdigest()
@@ -270,13 +271,14 @@ class TestRunEnumeration:
         order = ("quadruple", "monotone", "transforms", "theorems", "loops", "lines", "circuit_elimination")
         equatable = Hypergraph.from_edges(4, 2, [(1, 2), (3, 4)])  # 12 + 34 = 13 + 24
         right = harness.is_r_monotone
-        monkeypatch.setattr(harness, "find_summable_quadruple", lambda h: None)
-        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r: not right(h, r))
-        monkeypatch.setattr(harness, "complement", lambda h: Hypergraph(h.n, h.k, frozenset()))
-        monkeypatch.setattr(harness, "graph_orderable", lambda h: None)
-        monkeypatch.setattr(harness, "delete", lambda m, v: (SimpleNamespace(carrier=equatable), {}))
-        monkeypatch.setattr(harness, "lines", lambda m: LineDecomposition((), 2))
-        monkeypatch.setattr(harness, "_circuit_masks", lambda m: (0b0110, 0b1100))
+        # each stand-in takes and ignores the run's budget and scan table
+        monkeypatch.setattr(harness, "find_summable_quadruple", lambda h, *run: None)
+        monkeypatch.setattr(harness, "is_r_monotone", lambda h, r, *run: not right(h, r))
+        monkeypatch.setattr(harness, "complement", lambda h, *run: Hypergraph(h.n, h.k, frozenset()))
+        monkeypatch.setattr(harness, "graph_orderable", lambda h, *run: None)
+        monkeypatch.setattr(harness, "delete", lambda m, v, *run: (SimpleNamespace(carrier=equatable), {}))
+        monkeypatch.setattr(harness, "lines", lambda m, *run: LineDecomposition((), 2))
+        monkeypatch.setattr(harness, "_circuit_masks", lambda m, *run: (0b0110, 0b1100))
         full = run_enumeration(4, 2, "all", ALL_CHECKS).as_obj()
         assert {v["check"] for v in full["violations"]} == set(order)
         for _, group in groupby(full["violations"], key=lambda v: v["edges"]):
@@ -285,3 +287,71 @@ class TestRunEnumeration:
         for check in ALL_CHECKS:
             alone = [v for v in full["violations"] if v["check"] == check]
             assert run_enumeration(4, 2, "all", {check}).as_obj() == {**full, "violations": alone}, check
+
+
+# the checks of the enumerate-matroids benchmark
+BENCH_CHECKS = ("dichotomy", "quadruple", "theorems", "monotone", "loops", "lines", "circuit_elimination")
+
+
+class TestLawBudgets:
+    """The law checks' gates are checked once per run against bounds from the
+    run's (n, k), and per instance only where such a bound fails."""
+
+    def test_gates_do_not_grow_with_the_instances(self, monkeypatch):
+        # every per-instance gate of the law checks passes at (6,3); what is
+        # left is each run's generator and orbit tables and each decide's own
+        # gates, once per orbit. 25582 calls before the gates were hoisted.
+        gates = []
+        real = hypercore.check_budget
+
+        def counted(budget, default, work, what):
+            gates.append(what)
+            real(budget, default, work, what)
+
+        for module in (hypercore, matroid, feasibility, harness):
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, counted)
+        report = run_enumeration(6, 3, "matroids", BENCH_CHECKS)
+        assert report.counts["total"] == 2053 and not report.violations
+        assert len(gates) < 200
+        per_run = re.compile(r"^(C\(\d+,\d+\) >= \{count\} k-sets|2\^C\(6,3\) instances|orbit tables of .*"
+                             r"|packed simplex state of .*)$")
+        assert [what for what in gates if not per_run.match(what)] == []
+
+    @pytest.mark.parametrize("klass, n, k, caps, message", [
+        # each refusal as the per-instance gates gave it before any was hoisted
+        ("matroids", 6, 3, {"hypercore.PAIR_SCAN_BUDGET": 3599}, "exchange scan of 20 edges exceeds budget 3599"),
+        ("matroids", 6, 3, {"hypercore.PAIR_SCAN_BUDGET": 189}, "2-monotone scan on n=6, k=3 exceeds budget 189"),
+        ("matroids", 6, 3, {"hypercore.PAIR_SCAN_BUDGET": 100, "matroid.PAIR_SCAN_BUDGET": 100},
+         "summable-quadruple scan of 1 edges and 19 non-edges exceeds budget 100"),
+        ("matroids", 6, 3, {"matroid.PAIR_SCAN_BUDGET": 399}, "basis exchange scan of 20 bases exceeds budget 399"),
+        ("matroids", 6, 3, {"hypercore.MASK_WORD_BUDGET": 19},
+         "vertex masks of 20 edges in >= 20 64-bit words exceeds budget 19"),
+        # an instance's masks are gated where they are first built, after the
+        # basis-exchange gate, or, in a run that decides each instance on its
+        # own, after the exchange scan's
+        ("matroids", 6, 3, {"hypercore.MASK_WORD_BUDGET": 19, "matroid.PAIR_SCAN_BUDGET": 399},
+         "basis exchange scan of 20 bases exceeds budget 399"),
+        ("all", 5, 2, {"hypercore.MASK_WORD_BUDGET": 9, "hypercore.PAIR_SCAN_BUDGET": 399,
+                       "harness.ORBIT_TABLE_BUDGET": 0}, "exchange scan of 10 edges exceeds budget 399"),
+        ("matroids", 6, 3, {"hypercore.KSET_BUDGET": 19}, r"C\(6,3\) >= 20 k-sets exceeds budget 19"),
+        ("matroids", 6, 3, {"matroid.VERTEX_LIST_BUDGET": 5}, "loops among 6 vertices exceeds budget 5"),
+        ("all", 5, 2, {"hypercore.PAIR_SCAN_BUDGET": 30},
+         "summable-quadruple scan of 0 edges and 10 non-edges exceeds budget 30"),
+        ("graphs", 4, 2, {"hypercore.VERTEX_LIST_BUDGET": 3}, "ordering 4 vertices exceeds budget 3"),
+    ])
+    def test_a_failed_bound_refuses_as_each_instance_did(self, monkeypatch, klass, n, k, caps, message):
+        checks = BENCH_CHECKS if klass == "matroids" else ALL_CHECKS
+        for where, cap in caps.items():
+            monkeypatch.setattr(f"sephyp.{where}", cap)
+        with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+            run_enumeration(n, k, klass, checks)
+
+    def test_a_failed_bound_that_no_instance_reaches(self, monkeypatch):
+        # the exchange bound C(6,3)^2 * 3^2 = 3600 fails at 3599, but no binary
+        # 3-matroid on six elements has the 20 bases that reach it
+        expected = run_enumeration(6, 3, "binary", ALL_CHECKS)
+        monkeypatch.setattr(hypercore, "PAIR_SCAN_BUDGET", 3599)
+        assert MaskTables(6, 3).law_budgets["exchange"] is None
+        assert run_enumeration(6, 3, "binary", ALL_CHECKS) == expected

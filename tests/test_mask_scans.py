@@ -8,6 +8,7 @@ beside them."""
 
 import random
 from itertools import combinations
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from sephyp import harness
 from sephyp.errors import HasLoops, PreconditionViolated, RankCollapse, RankZero
 from sephyp.harness import MaskTables
 from sephyp.hypercore import (
+    PROVEN,
     ExchangeWitness,
     Hypergraph,
     SummableQuadruple,
@@ -44,6 +46,8 @@ from sephyp.matroid import (
 
 EXHAUSTIVE_SHAPES = ((4, 2), (5, 2), (5, 3), (6, 2))
 CORPUS_SEED = 11
+# the run tables of a law check called outside a run: its circuit scan is gated on the instance
+GATED_PER_INSTANCE = SimpleNamespace(law_budgets={"circuits": None})
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +291,24 @@ def corpus_matroids():
 
 @pytest.mark.parametrize("corpus", [exhaustive_hypergraphs, random_hypergraphs], ids=["exhaustive", "random"])
 def test_hypergraph_scans_match_reference(corpus):
+    # the quadruple and 2-monotone scans run twice: on tables built from the
+    # instance, and on the tables a run builds once from every k-set, with
+    # the budget its bounds prove
+    runs = {}
     seen = set()
     for h in corpus():
+        if (h.n, h.k) not in runs:
+            runs[h.n, h.k] = MaskTables(h.n, h.k, 2 ** comb(h.n, h.k))
+            assert runs[h.n, h.k].law_budgets["quadruple"] is runs[h.n, h.k].law_budgets["monotone"] is PROVEN
+        run = runs[h.n, h.k]
         witness = is_exchangeable(h)
         assert witness == reference_is_exchangeable(h), h
         quad = find_summable_quadruple(h)
         assert quad == reference_find_summable_quadruple(h), h
+        assert find_summable_quadruple(h, PROVEN, run.quadruple_table) == quad, h
         monotone = is_r_monotone(h, 2)
         assert monotone == reference_is_r_monotone(h, 2), h
+        assert is_r_monotone(h, 2, PROVEN, run.monotone_table) == monotone, h
         seen.add((witness is None, quad is None, monotone))
     # both answers of each scan turn up: exchangeable with a quadruple and
     # not 2-monotone, and neither exchangeable nor summable but 2-monotone
@@ -336,7 +350,8 @@ def test_matroid_queries_match_reference():
                 lines(m)
         else:
             assert lines(m) == reference_lines(m), m
-        assert not list(harness.LAW_CHECKS["circuit_elimination"](SimpleNamespace(matroid=m)))
+        instance = SimpleNamespace(matroid=m, tables=GATED_PER_INSTANCE)
+        assert not list(harness.LAW_CHECKS["circuit_elimination"](instance))
         assert (loops(m), coloops(m)) == (reference_loops(m), reference_coloops(m)), m
         for v in range(0, m.n + 2):
             for minor, reference in ((delete, reference_delete), (contract, reference_contract)):
@@ -369,13 +384,14 @@ def test_circuit_elimination_text_matches_reference(monkeypatch):
     # text must be the reference's
     rng = random.Random(CORPUS_SEED)
     m = BasisMatroid(Hypergraph.from_edges(7, 2, combinations(range(1, 8), 2)))
+    instance = SimpleNamespace(matroid=m, tables=GATED_PER_INSTANCE)
     outcomes = set()
     for _ in range(300):
         family = sorted({frozenset(rng.sample(range(1, 8), rng.randint(1, 4))) for _ in range(rng.randint(1, 8))},
                         key=lambda c: (len(c), sorted(c)))
         masks = [sum(1 << v for v in c) for c in family]
-        monkeypatch.setattr(harness, "_circuit_masks", lambda _, masks=masks: masks)
-        problem = next(harness.LAW_CHECKS["circuit_elimination"](SimpleNamespace(matroid=m)), None)
+        monkeypatch.setattr(harness, "_circuit_masks", lambda _, budget, masks=masks: masks)
+        problem = next(harness.LAW_CHECKS["circuit_elimination"](instance), None)
         assert problem == reference_check_circuit_elimination(family), family
         outcomes.add(problem is None)
     assert outcomes == {False, True}

@@ -49,9 +49,9 @@ SAMPLES = {
                         dict(n=4, k=2, klass="all", counts={"total": 64}, violations=[{"check": "dichotomy"}])),
     BasisMatroid: (dict(carrier=K4), dict(carrier=K4_LESS)),
     _Instance: (dict(h=K4, cert=SeparableCertificate((Fraction(1),) * 4), witness=None, matroid=None, proved=True,
-                     decide=decide),
+                     decide=decide, tables=None),
                 dict(h=K4, cert=SeparableCertificate((Fraction(1),) * 4), witness=None, matroid=None, proved=False,
-                     decide=decide)),
+                     decide=decide, tables=None)),
     Circuit: (dict(elements=(1, 2)), dict(elements=(1, 2, 3))),
     LineDecomposition: (dict(lines=((1, 2), (3,)), nontrivial_count=1),
                         dict(lines=((1,), (2,), (3,)), nontrivial_count=0)),
