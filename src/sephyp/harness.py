@@ -27,12 +27,13 @@ verified per instance, in the manner of orbit-wise isomorph-free generation
 instance of an orbit is decided, and every other one gets that
 certificate moved by the vertex permutation between them and checked on
 itself with the public verifier, so no instance is classified unchecked.
-The law checks stay per instance. Their budget gates do not: each gate's
-count is bounded by the run's (n, k), and where that bound passes the
-gate's default cap, checked once per run (MaskTables.law_budgets), every
-instance would pass the gate, so the call is made with the budget PROVEN
-and skips it. The scans' tables that depend on (n, k) alone are built once
-per run, on MaskTables.
+The law checks stay per instance. Their budget gates need not: each gate's
+count is bounded by the run's (n, k) alone. When every such bound is within
+its gate's default cap, checked once per run (MaskTables.law_budget), no
+instance can trip a gate, so every gated call of the run gets the budget
+PROVEN, on which check_budget returns at once; when any bound fails, the run
+gets None and every gate runs per instance. The scans' tables that depend on
+(n, k) alone are built once per run, on MaskTables, under PROVEN only.
 """
 
 from __future__ import annotations
@@ -116,58 +117,53 @@ class MaskTables:
         return _mask_is_paving(_at_bits(self.vertex_masks, mask), self.n, self.k)
 
     @cached_property
-    def law_budgets(self) -> dict[str, object]:
-        """The budget each gated call of run_enumeration passes, by name: PROVEN
-        when an upper bound, from the run's n, k and m = C(n,k) alone, on every
-        count the call's gates take is within those gates' default caps, read
-        where the gates read them, so that every instance of the run passes
-        them; else None, and the gates run per instance with their messages.
+    def law_budget(self) -> object:
+        """The budget every gated call of run_enumeration passes: PROVEN when an
+        upper bound, from the run's n, k and m = C(n,k) alone, on every count
+        the calls' gates take is within those gates' default caps, read where
+        the gates read them, so that every instance of the run passes them;
+        else None, and every gate runs per instance with its message.
 
         The bounds. An instance, its complement and its dual (C(n, n-k) = m
         sets) have at most m edges, and a minor, on n - 1 elements at rank k or
         k - 1, at most C(n-1, k) or C(n-1, k-1), each at most m by Pascal's
         rule. So, with |E| or |B| edges or bases:
         - masks: each edge's mask takes (v >> 6) + 1 words, v <= n its last
-          vertex, counted where a hypergraph's masks are first built: in the
-          orbit decider, or after the gates of the basis-exchange check, the
-          exchange scan or a minor's mapping, so those budgets count it too;
-        - bases: a matroid's basis-exchange check counts |B|^2 <= m^2;
-        - circuits: |B|·k·(n-k) <= m·k·(n-k) basis lookups;
+          vertex, wherever a hypergraph's masks are first built;
+        - basis exchange, of an instance or a minor: |B|^2 <= m^2; the circuit
+          scan's |B|·k·(n-k) is less, as a k-set and its k·(n-k) one-element
+          swaps are distinct k-sets, so m > k·(n-k);
         - exchange: |E|^2·k^2 <= m^2·k^2, on an instance and its complement, and
-          dual_exchange: m^2·(n-k)^2 on the dual, whose k is n - k;
-        - ksets: the C(n,k) universe is m k-sets;
-        - quadruple: m k-sets, and as |non-edges| + |E| = m, C(|non-edges|,2) +
-          C(|E|,2) <= C(m,2), the pairs of quadruple_table too;
+          m^2·(n-k)^2 on the dual, whose k is n - k, so m^2·max(k, n-k)^2 on
+          all three; the quadruple scan's C(|non-edges|,2) + C(|E|,2) <=
+          C(m,2) pairs, those of quadruple_table too, are less, as
+          |non-edges| + |E| = m;
+        - k-sets: the C(n,k) universe is m k-sets;
         - monotone: its count is n's, k's and r's alone;
-        - ordering, loops: n vertices listed; delete: n mapped, and the minor's
-          basis exchange and masks as above; lines: n, and C(n,2)·|B| <= C(n,2)·m.
+        - ordering, loops, a minor's mapping: n vertices listed; lines:
+          C(n,2)·|B| <= C(n,2)·m.
         """
         n, k, m = self.n, self.k, self.m
-        pairs, basis_pairs, vertices = hypercore.PAIR_SCAN_BUDGET, matroid.PAIR_SCAN_BUDGET, matroid.VERTEX_LIST_BUDGET
-        words = (hypercore.MASK_WORD_BUDGET, m * ((n >> 6) + 1))
-        bounds = {
-            "masks": [words],
-            "bases": [(basis_pairs, m * m), words],
-            "circuits": [(basis_pairs, m * k * (n - k))],
-            "exchange": [(pairs, m * m * k * k), words],
-            "dual_exchange": [(pairs, m * m * (n - k) ** 2), words],
-            "ksets": [(hypercore.KSET_BUDGET, m)],
-            "quadruple": [(hypercore.KSET_BUDGET, m), (pairs, m * (m - 1) // 2)],
+        pairs, basis_pairs = hypercore.PAIR_SCAN_BUDGET, matroid.PAIR_SCAN_BUDGET
+        bounds = [
+            (hypercore.MASK_WORD_BUDGET, m * ((n >> 6) + 1)),
+            (basis_pairs, m * m),
+            (pairs, m * m * max(k, n - k) ** 2),
+            (hypercore.KSET_BUDGET, m),
             # each term capped at pairs + 1, so the sum passes pairs exactly when the count does
-            "monotone": [(pairs, sum(_monotone_work(n, k, 2)(pairs)))],
-            "ordering": [(hypercore.VERTEX_LIST_BUDGET, n)],
-            "loops": [(vertices, n)],
-            "delete": [(vertices, n), (basis_pairs, m * m), words],
-            "lines": [(vertices, n), (basis_pairs, n * (n - 1) // 2 * m)],
-        }
-        return {name: PROVEN if all(count <= cap for cap, count in bound) else None for name, bound in bounds.items()}
+            (pairs, sum(_monotone_work(n, k, 2)(pairs))),
+            (hypercore.VERTEX_LIST_BUDGET, n),
+            (matroid.VERTEX_LIST_BUDGET, n),
+            (basis_pairs, n * (n - 1) // 2 * m),
+        ]
+        return PROVEN if all(count <= cap for cap, count in bounds) else None
 
     @cached_property
     def quadruple_table(self) -> Optional[dict[tuple[int, int], list[tuple[int, int]]]]:
         """find_summable_quadruple's table of every k-set: each (intersection, union) signature of two k-set pairs
         or more, and those pairs in combinations order; an edge pair alone under its signature meets no non-edge
-        pair. None unless the quadruple bound is proven, as it counts these C(m, 2) pairs too."""
-        if self.law_budgets["quadruple"] is None:
+        pair. None unless law_budget is PROVEN, as its bounds cover these C(m, 2) pairs too."""
+        if self.law_budget is None:
             return None
         table: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for pair in combinations(self.vertex_masks, 2):
@@ -176,8 +172,8 @@ class MaskTables:
 
     @cached_property
     def monotone_table(self) -> Optional[list[list[tuple[int, int]]]]:
-        """is_r_monotone's lookups at r = 2; None unless the monotone bound, which counts them, is proven."""
-        return None if self.law_budgets["monotone"] is None else list(monotone_pairs(self.n, self.k, 2))
+        """is_r_monotone's lookups at r = 2; None unless law_budget, whose monotone bound counts them, is PROVEN."""
+        return None if self.law_budget is None else list(monotone_pairs(self.n, self.k, 2))
 
 
 def _matroid_masks(n: int, k: int) -> Iterator[int]:
@@ -357,10 +353,10 @@ class _Instance:
     matroid: Optional[BasisMatroid]  # None unless the instance is a matroid
     proved: bool  # in a class where equatable iff exchangeable is proved
     decide: Callable[[Hypergraph], Certificate]  # the run's, once per orbit
-    tables: MaskTables  # the run's: its law budgets and scan tables
+    tables: MaskTables  # the run's: its law budget and scan tables
 
     def check_quadruple(self) -> Iterator[str]:
-        quad = find_summable_quadruple(self.h, self.tables.law_budgets["quadruple"], self.tables.quadruple_table)
+        quad = find_summable_quadruple(self.h, self.tables.law_budget, self.tables.quadruple_table)
         if self.witness is not None and quad is None:
             yield "exchange witness exists but no summable quadruple"
         if quad is not None:
@@ -370,13 +366,12 @@ class _Instance:
                 yield f"explicit quadruple labeling fails for {quad}"
 
     def check_monotone(self) -> Iterator[str]:
-        if is_r_monotone(self.h, 2, self.tables.law_budgets["monotone"], self.tables.monotone_table) != (
-                self.witness is None):
+        if is_r_monotone(self.h, 2, self.tables.law_budget, self.tables.monotone_table) != (self.witness is None):
             yield "2-monotone disagrees with not-exchangeable"
 
     def check_transforms(self) -> Iterator[str]:
-        budgets = self.tables.law_budgets
-        comp, dual_h, kind = complement(self.h, budgets["ksets"]), dual(self.h), self.cert.kind
+        budget = self.tables.law_budget
+        comp, dual_h, kind = complement(self.h, budget), dual(self.h), self.cert.kind
         comp_kind, dual_kind = self.decide(comp).kind, self.decide(dual_h).kind
         if comp_kind != kind or dual_kind != kind:
             yield f"kinds differ: {kind}/{comp_kind}/{dual_kind}"
@@ -384,8 +379,8 @@ class _Instance:
             universe = _vertex_mask(range(1, self.h.n + 1))
             if not verify_equatable(dual_h, {_mask_kset(universe ^ _vertex_mask(g)): val for g, val in self.cert.y}):
                 yield "transported dual labeling fails verification"
-        if not ((self.witness is None) == (is_exchangeable(comp, budgets["exchange"]) is None)
-                == (is_exchangeable(dual_h, budgets["dual_exchange"]) is None)):
+        if not ((self.witness is None) == (is_exchangeable(comp, budget) is None)
+                == (is_exchangeable(dual_h, budget) is None)):
             yield "exchangeability not preserved by complement/dual"
 
     def check_theorems(self) -> Iterator[str]:
@@ -393,31 +388,31 @@ class _Instance:
         if self.proved and (kind == "equatable") != (self.witness is not None):
             yield f"{kind} but exchangeable = {self.witness is not None}"
         if self.h.k == 2:
-            ordering = graph_orderable(self.h, self.tables.law_budgets["ordering"])
+            ordering = graph_orderable(self.h, self.tables.law_budget)
             if (ordering is not None) != (kind == "separable"):
                 yield f"orderable = {ordering is not None} but {kind}"
 
     def check_loops(self) -> Iterator[str]:
-        budgets = self.tables.law_budgets
-        loop_set = loops(self.matroid, budgets["loops"]) if self.matroid is not None else None
+        budget = self.tables.law_budget
+        loop_set = loops(self.matroid, budget) if self.matroid is not None else None
         if loop_set:
             try:
-                minor, _ = delete(self.matroid, min(loop_set), budgets["delete"])
+                minor, _ = delete(self.matroid, min(loop_set), budget)
             except RankCollapse:
                 return  # k = n-1 minor not representable under 1 <= k < n
             if self.decide(minor.carrier).kind != self.cert.kind:
                 yield f"kind changes when deleting loop {min(loop_set)}"
 
     def check_lines(self) -> Iterator[str]:
-        budgets = self.tables.law_budgets
-        if self.matroid is not None and not loops(self.matroid, budgets["loops"]):
-            if lines(self.matroid, budgets["lines"]).nontrivial_count >= 2 and self.witness is None:
+        budget = self.tables.law_budget
+        if self.matroid is not None and not loops(self.matroid, budget):
+            if lines(self.matroid, budget).nontrivial_count >= 2 and self.witness is None:
                 yield "two nontrivial lines but no exchange witness"
 
     def check_circuit_elimination(self) -> Iterator[str]:
         """The first circuit pair, shared v and u in the first only (ascending)
         with no circuit through u inside the union less v."""
-        circ = _circuit_masks(self.matroid, self.tables.law_budgets["circuits"]) if self.matroid is not None else ()
+        circ = _circuit_masks(self.matroid, self.tables.law_budget) if self.matroid is not None else ()
         for c1 in circ:
             for c2 in circ:
                 shared = c1 & c2 if c1 != c2 else 0
@@ -457,14 +452,14 @@ def run_enumeration(n: int, k: int, klass: str = "all", checks: Iterable[str] = 
         raise Inapplicable(f"enumeration needs 1 <= k < n, got n={n} k={k}")
 
     tables = MaskTables(n, k, budget)
-    budgets = tables.law_budgets
+    law_budget = tables.law_budget
     orbits: dict[tuple[int, int], _OrbitDecider] = {}
 
     def decide_once(g: Hypergraph) -> Certificate:
         """decide through the orbit decider of g's (n, k), made on first use."""
         if (g.n, g.k) not in orbits:
             orbits[g.n, g.k] = _OrbitDecider(g.n, g.k)
-        return orbits[g.n, g.k].decide(g, budgets["masks"])
+        return orbits[g.n, g.k].decide(g, law_budget)
 
     counts = dict.fromkeys(("total", "separable", "equatable", "exchangeable", "matroids", "paving", "binary"), 0)
     violations: list[dict] = []
@@ -482,8 +477,8 @@ def run_enumeration(n: int, k: int, klass: str = "all", checks: Iterable[str] = 
         if klass == "paving" and not paving:
             continue
         h = tables.hypergraph(mask)
-        basis_matroid = BasisMatroid(h, budgets["bases"]) if matroid_mask else None
-        binary = matroid_mask and is_binary(basis_matroid, budgets["circuits"])
+        basis_matroid = BasisMatroid(h, law_budget) if matroid_mask else None
+        binary = matroid_mask and is_binary(basis_matroid, law_budget)
         if klass == "binary" and not binary:
             continue
 
@@ -494,7 +489,7 @@ def run_enumeration(n: int, k: int, klass: str = "all", checks: Iterable[str] = 
 
         cert = decide_once(h)
         counts[cert.kind] += 1
-        witness = is_exchangeable(h, budgets["exchange"])
+        witness = is_exchangeable(h, law_budget)
         if witness is not None:
             counts["exchangeable"] += 1
         proved = k <= 2 or klass == "multipartite" or (matroid_mask and (k == 3 or paving or binary))

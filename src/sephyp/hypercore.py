@@ -108,17 +108,19 @@ class _Proven:
 
 
 # The budget of a call whose caller has already put an upper bound on every count the call's gates take through
-# check_budget, at those gates' default caps: each gate given it is skipped, so the call runs as with None.
+# check_budget, at those gates' default caps: check_budget returns at once on it, so the call runs as with None.
 # harness.run_enumeration passes it to the law checks, whose counts its run's (n, k) bound.
 PROVEN = _Proven()
 
 
 def check_budget(budget: Optional[int], default: int, work: Callable[[int], Iterable[int]], what: str) -> None:
-    """The one budget gate, run before an operation starts its loop. The cap is
+    """The one budget gate, run before an operation starts its loop, and the one
+    reader of PROVEN, on which it returns without calling work. The cap is
     budget, or the operation's default when None. work(cap) yields the work as
     terms, kept small with capped_comb; the first running total past the cap
-    stops the sum and raises BudgetExceeded, naming what with {count} filled in.
-    A caller passing PROVEN down as its budget makes no call here."""
+    stops the sum and raises BudgetExceeded, naming what with {count} filled in."""
+    if budget is PROVEN:
+        return
     cap = default if budget is None else budget
     count = next((total for total in accumulate(work(cap), initial=0) if total > cap), None)
     if count is not None:
@@ -172,8 +174,7 @@ def check_ksets(n: int, k: int, budget: Optional[int] = None) -> None:
     exceeds the budget (KSET_BUDGET when None). all_ksets runs it before
     building anything, and feasibility.decide on every call before it reads
     its kept copy of the universe."""
-    if budget is not PROVEN:
-        check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], f"C({n},{k}) >= {{count}} k-sets")
+    check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], f"C({n},{k}) >= {{count}} k-sets")
 
 
 def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
@@ -236,9 +237,8 @@ class Hypergraph:
         for reuse, which held about 1 MB more at peak over a (6,3) matroid corpus."""
         if not hasattr(self, "_masks"):
             edges = self.sorted_edges()
-            if budget is not PROVEN:
-                check_budget(budget, MASK_WORD_BUDGET, lambda cap: ((e[-1] >> 6) + 1 for e in edges),
-                             f"vertex masks of {len(edges)} edges in >= {{count}} 64-bit words")
+            check_budget(budget, MASK_WORD_BUDGET, lambda cap: ((e[-1] >> 6) + 1 for e in edges),
+                         f"vertex masks of {len(edges)} edges in >= {{count}} 64-bit words")
             object.__setattr__(self, "_masks", list(map(_vertex_mask, edges)))
         return self._masks
 
@@ -391,9 +391,8 @@ def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Exc
     """First exchange witness in lexicographic (e1, e2, v1, v2) order, or None.
     The |E|^2 ordered edge pairs times k^2 swaps are gated first
     (PAIR_SCAN_BUDGET when budget is None)."""
-    if budget is not PROVEN:
-        check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2 * h.k ** 2],
-                     f"exchange scan of {len(h.edges)} edges")
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2 * h.k ** 2],
+                 f"exchange scan of {len(h.edges)} edges")
     masks = h.edge_masks(budget)
     present = set(masks)
     for s1 in masks:
@@ -425,11 +424,10 @@ def find_summable_quadruple(h: Hypergraph, budget: Optional[int] = None,
     PAIR_SCAN_BUDGET when budget is None).
     """
     n, k, edges = h.n, h.k, h.edges
-    if budget is not PROVEN:
-        check_ksets(n, k, budget)
-        non = comb(n, k) - len(edges)  # small, as C(n,k) passed
-        check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(non, 2, cap), capped_comb(len(edges), 2, cap)],
-                     f"summable-quadruple scan of {len(edges)} edges and {non} non-edges")
+    check_ksets(n, k, budget)
+    non = comb(n, k) - len(edges)  # small, as C(n,k) passed
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(non, 2, cap), capped_comb(len(edges), 2, cap)],
+                 f"summable-quadruple scan of {len(edges)} edges and {non} non-edges")
     masks = h.edge_masks(budget)
     if table is None:
         table = {}
@@ -490,8 +488,7 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None,
     if r == 1:
         return True  # no pair of distinct singletons has a 1-vertex union; skip listing n vertices
     n, k = h.n, h.k
-    if budget is not PROVEN:
-        check_budget(budget, PAIR_SCAN_BUDGET, _monotone_work(n, k, r), f"{r}-monotone scan on n={n}, k={k}")
+    check_budget(budget, PAIR_SCAN_BUDGET, _monotone_work(n, k, r), f"{r}-monotone scan on n={n}, k={k}")
     present = set(h.edge_masks(budget))
     for lookups in monotone_pairs(n, k, r) if table is None else table:
         seen = {(a in present) - (b in present) for a, b in lookups}
@@ -524,8 +521,7 @@ def graph_orderable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Gra
     """
     if h.k != 2:
         raise NotAGraph(f"orderability is defined for k=2, got k={h.k}")
-    if budget is not PROVEN:
-        check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [h.n], f"ordering {h.n} vertices")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [h.n], f"ordering {h.n} vertices")
     adj: dict[int, set[int]] = {v: set() for v in range(1, h.n + 1)}
     for a, b in h.edges:
         adj[a].add(b)

@@ -23,7 +23,7 @@ from .errors import (
     RankCollapse,
     RankZero,
 )
-from .hypercore import (PAIR_SCAN_BUDGET, PROVEN, VERTEX_LIST_BUDGET, Gf2Matrix, Graph, Hypergraph, KSet, _mask_kset,
+from .hypercore import (PAIR_SCAN_BUDGET, VERTEX_LIST_BUDGET, Gf2Matrix, Graph, Hypergraph, KSet, _mask_kset,
                         _vertex_mask, all_ksets, capped_comb, check_budget, record)
 
 
@@ -64,9 +64,8 @@ def _mask_is_paving(sets: Iterable[int], n: int, k: int) -> bool:
 def exchange_violation(h: Hypergraph, budget: Optional[int] = None) -> Optional[tuple[KSet, KSet, int]]:
     """Lexicographically first (E1, E2, v1) with no valid exchange, or None.
     The |B|^2 ordered basis pairs are gated first (PAIR_SCAN_BUDGET when None)."""
-    if budget is not PROVEN:
-        check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2],
-                     f"basis exchange scan of {len(h.edges)} bases")
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2],
+                 f"basis exchange scan of {len(h.edges)} bases")
     bad = _mask_exchange_violation(h.edge_masks(budget))
     return None if bad is None else (_mask_kset(bad[0]), _mask_kset(bad[1]), bad[2])
 
@@ -196,8 +195,7 @@ def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:
 def loops(m: BasisMatroid, budget: Optional[int] = None) -> frozenset[int]:
     """Vertices contained in no basis; the n vertices it sifts are gated first
     (VERTEX_LIST_BUDGET when None)."""
-    if budget is not PROVEN:
-        check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"loops among {m.n} vertices")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"loops among {m.n} vertices")
     return frozenset(v for v in range(1, m.n + 1) if not m._covered >> v & 1)
 
 
@@ -218,8 +216,7 @@ def _minor(m: BasisMatroid, v: int, through: bool, what: str,
     new_k = m.k - through
     if new_k < 1 or new_k >= m.n - 1:
         raise RankCollapse(f"{what} leaves k={new_k} on {m.n - 1} vertices")
-    if budget is not PROVEN:
-        check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"{what} mapping of {m.n} vertices")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"{what} mapping of {m.n} vertices")
     low = (1 << v) - 1
     kept = (b for b in m.carrier.edge_masks() if (b >> v & 1) == through)
     renamed = frozenset(_mask_kset((b & low) | (b >> 1 & ~low)) for b in kept)
@@ -244,9 +241,8 @@ def contract(m: BasisMatroid, v: int) -> tuple[BasisMatroid, dict[int, int]]:
 def _circuit_masks(m: BasisMatroid, budget: Optional[int] = None) -> tuple[int, ...]:
     """All circuits as vertex masks, in the order of circuits. The |B|·k·(n-k)
     basis lookups are gated first (PAIR_SCAN_BUDGET when None)."""
-    if budget is not PROVEN:
-        check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(m.carrier.edges) * m.k * (m.n - m.k)],
-                     f"circuit scan of {len(m.carrier.edges)} bases on {m.n} elements")
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(m.carrier.edges) * m.k * (m.n - m.k)],
+                 f"circuit scan of {len(m.carrier.edges)} bases on {m.n} elements")
     return m._circuits
 
 
@@ -316,9 +312,8 @@ def lines(m: BasisMatroid, budget: Optional[int] = None) -> LineDecomposition:
     lp = loops(m, budget)
     if lp:
         raise HasLoops(f"matroid has loops {sorted(lp)}")
-    if budget is not PROVEN:
-        check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(m.n, 2, cap) * len(m.carrier.edges)],
-                     f"line scan of {m.n} elements and {len(m.carrier.edges)} bases")
+    check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(m.n, 2, cap) * len(m.carrier.edges)],
+                 f"line scan of {m.n} elements and {len(m.carrier.edges)} bases")
     covered = {x | y for b in m.carrier.edge_masks() for x, y in combinations([1 << v for v in _mask_kset(b)], 2)}
     dep = lambda u, v: (1 << u | 1 << v) not in covered
     parts = _lines_from_dependence(list(range(1, m.n + 1)), dep)

@@ -10,18 +10,23 @@ pairs and lookups, the permutations times k-sets of the harness's orbit
 tables, and the 64-bit words of decide's packed tableau and price rows. The
 capped binomial behind them is checked against math.comb."""
 
+import tokenize
 from itertools import combinations, product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import sephyp
 from sephyp import feasibility
 from sephyp.errors import BudgetExceeded
 from sephyp.feasibility import _field_width, build_system, decide, find_binary_certificate
 from sephyp.harness import _orbit_tables, enumerate_hypergraphs, run_enumeration
 from sephyp.hypercore import (
+    PROVEN,
     Hypergraph,
     capped_comb,
+    check_budget,
     find_summable_quadruple,
     graph_orderable,
     is_exchangeable,
@@ -125,6 +130,27 @@ def test_packed_state_gate_boundary(monkeypatch):
     assert not feasibility._column_index
     monkeypatch.setattr(feasibility, "PACKED_WORD_BUDGET", work)
     assert decide(SMALL).kind == "equatable"
+
+
+def test_proven_skips_the_gate():
+    # PROVEN is a caller's proof that the count is within the cap: the gate
+    # neither counts the work nor refuses, even at a cap of 0
+    def work(cap):
+        raise AssertionError("work counted under PROVEN")
+
+    assert check_budget(PROVEN, 0, work, "unreachable {count}") is None
+
+
+def test_only_the_gate_and_the_harness_name_proven():
+    # the one budget gate reads PROVEN and the harness, whose law checks it
+    # proves, passes it; every other gated operation just passes its budget on
+    named = set()
+    for path in sorted(Path(sephyp.__file__).parent.glob("*.py")):
+        with tokenize.open(path) as source:
+            tokens = tokenize.generate_tokens(source.readline)
+            if any(tok.type == tokenize.NAME and tok.string == "PROVEN" for tok in tokens):
+                named.add(path.name)
+    assert named == {"hypercore.py", "harness.py"}
 
 
 def test_capped_comb_matches_comb():

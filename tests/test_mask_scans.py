@@ -47,7 +47,7 @@ from sephyp.matroid import (
 EXHAUSTIVE_SHAPES = ((4, 2), (5, 2), (5, 3), (6, 2))
 CORPUS_SEED = 11
 # the run tables of a law check called outside a run: its circuit scan is gated on the instance
-GATED_PER_INSTANCE = SimpleNamespace(law_budgets={"circuits": None})
+GATED_PER_INSTANCE = SimpleNamespace(law_budget=None)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_hypergraph_scans_match_reference(corpus):
     for h in corpus():
         if (h.n, h.k) not in runs:
             runs[h.n, h.k] = MaskTables(h.n, h.k, 2 ** comb(h.n, h.k))
-            assert runs[h.n, h.k].law_budgets["quadruple"] is runs[h.n, h.k].law_budgets["monotone"] is PROVEN
+            assert runs[h.n, h.k].law_budget is PROVEN
         run = runs[h.n, h.k]
         witness = is_exchangeable(h)
         assert witness == reference_is_exchangeable(h), h
