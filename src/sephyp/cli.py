@@ -37,7 +37,7 @@ on each Fourier-Motzkin stage once it is built:
       instance is decided on its own)
     decide: its packed tableau and price    64-bit words          4000000
       rows (not changed by SEPHYP_BUDGET)
-    decide --method fm                      vertices              6
+    decide --method fm                      vertices, n           6
     decide --method fm                      rows of one stage     200000
 """
 
@@ -190,7 +190,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_INVALID_CERT
         # the walk may visit every k-set: gated as decide's universe is, so what decide returns verifies
         check_budget(args.budget, KSET_BUDGET, lambda cap: [capped_comb(h.n, h.k, cap)],
-                     f"verifying over C({h.n},{h.k}) >= {{count}} k-sets")
+                     "verifying over C({},{}) >= {count} k-sets", h.n, h.k)
         bad = separating_violation(h, cert.x)
         if bad is not None:
             side = "edge" if bad in h.edges else "non-edge"

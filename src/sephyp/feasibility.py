@@ -35,7 +35,7 @@ from math import comb, gcd, lcm
 from operator import attrgetter, mul, ne
 from typing import Iterator, Optional, Union
 
-from .errors import BudgetExceeded, Inapplicable, InternalVerificationError
+from .errors import Inapplicable, InternalVerificationError
 from .hypercore import (CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, PACKED_WORD_BUDGET, Hypergraph, KSet,
                         all_ksets, capped_comb, _edge_fault, _ksets_valid, check_budget, check_ksets, record)
 
@@ -217,7 +217,7 @@ class _Columns:
             yield tableau if tableau > cap else (n + 2) * -(-(n + 1) * _field_width(n, k) // 64)
 
         check_budget(None, PACKED_WORD_BUDGET, words,
-                     f"packed simplex state of C({n},{k}) columns in >= {{count}} 64-bit words")
+                     "packed simplex state of C({},{}) columns in >= {count} 64-bit words", n, k)
         self.n, self.k, self.rows = n, k, all_ksets(n, k, budget)
         # Block b prices columns 16 (2^b - 1) up to the next block's start.
         self.spans = [(start, min(2 * start + 16, m)) for start in (16 * ((1 << b) - 1) for b in range(m.bit_length()))
@@ -449,8 +449,7 @@ def decide_fm(h: Hypergraph) -> Certificate:
     with negative rhs hands us the equatability labeling directly. Fractions
     appear only in multipliers, back-substituted bounds and the certificate.
     """
-    if h.n > FM_VERTEX_BUDGET:
-        raise BudgetExceeded(f"Fourier-Motzkin guard: n = {h.n} > {FM_VERTEX_BUDGET}")
+    check_budget(None, FM_VERTEX_BUDGET, lambda cap: [h.n], "Fourier-Motzkin elimination on {count} vertices")
     system = build_system(h)
     m = len(system.rows)
     n = h.n
@@ -469,8 +468,7 @@ def decide_fm(h: Hypergraph) -> Certificate:
     stages: list[list[tuple[list[int], list]]] = []
     for var in range(n + 1):
         rows = list(kept.values())
-        if len(rows) > FM_ROW_BUDGET:
-            raise BudgetExceeded("Fourier-Motzkin row blowup")
+        check_budget(None, FM_ROW_BUDGET, lambda cap: [len(rows)], "Fourier-Motzkin stage of {count} rows")
         bad = kept.get((0,) * n)
         if bad is not None:
             return _package_equatable(h, {g: c for g, c in zip(system.rows, bad[1]) if c})
@@ -535,7 +533,7 @@ def find_binary_certificate(
     sizes = range(1, min(max_support // 2, len(edges), len(non)) + 1)
     check_budget(budget, CERT_SEARCH_BUDGET,
                  lambda cap: (capped_comb(len(edges), t, cap) + capped_comb(len(non), t, cap) for t in sizes),
-                 f"certificate search of {len(edges)} edges and {len(non)} non-edges up to support {max_support}")
+                 "certificate search of {} edges and {} non-edges up to support {}", len(edges), len(non), max_support)
 
     width = max(sizes, default=0).bit_length()  # a count is at most t, so no field carries
     edge_keys, non_keys = ([sum(1 << width * v for v in g) for g in sets] for sets in (edges, non))

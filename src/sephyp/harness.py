@@ -102,7 +102,7 @@ class MaskTables:
         self.n = n
         self.k = k
         check_budget(budget, ENUMERATION_BUDGET, lambda cap: [1 << capped_comb(n, k, cap.bit_length())],
-                     f"2^C({n},{k}) instances")
+                     "2^C({},{}) instances", n, k)
         self.ksets = all_ksets(n, k)
         self.m = len(self.ksets)
         self.vertex_masks = [_vertex_mask(g) for g in self.ksets]
@@ -279,7 +279,7 @@ def _orbit_tables(n: int, k: int, budget: Optional[int] = None
             count *= i
         yield count
 
-    check_budget(budget, ORBIT_TABLE_BUDGET, work, f"orbit tables of {n}! permutations of C({n},{k}) k-sets")
+    check_budget(budget, ORBIT_TABLE_BUDGET, work, "orbit tables of {}! permutations of C({},{}) k-sets", n, n, k)
     bit = {_vertex_mask(g): 1 << i for i, g in enumerate(ksets)}
     perms = [(0, *images) for images in permutations(range(1, n + 1))]
     tables = [tuple(bit[sum(1 << p[v] for v in g)] for g in ksets) for p in perms]

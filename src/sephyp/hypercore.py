@@ -113,18 +113,20 @@ class _Proven:
 PROVEN = _Proven()
 
 
-def check_budget(budget: Optional[int], default: int, work: Callable[[int], Iterable[int]], what: str) -> None:
+def check_budget(budget: Optional[int], default: int, work: Callable[[int], Iterable[int]], what: str,
+                 *args: object) -> None:
     """The one budget gate, run before an operation starts its loop, and the one
     reader of PROVEN, on which it returns without calling work. The cap is
     budget, or the operation's default when None. work(cap) yields the work as
     terms, kept small with capped_comb; the first running total past the cap
-    stops the sum and raises BudgetExceeded, naming what with {count} filled in."""
+    stops the sum and raises BudgetExceeded, naming the work by the str.format
+    template what, filled in with args and the total as {count} only then."""
     if budget is PROVEN:
         return
     cap = default if budget is None else budget
     count = next((total for total in accumulate(work(cap), initial=0) if total > cap), None)
     if count is not None:
-        raise BudgetExceeded(f"{what.format(count=count)} exceeds budget {cap}")
+        raise BudgetExceeded(f"{what.format(*args, count=count)} exceeds budget {cap}")
 
 
 def _vertex_mask(kset: Iterable[int]) -> int:
@@ -174,7 +176,7 @@ def check_ksets(n: int, k: int, budget: Optional[int] = None) -> None:
     exceeds the budget (KSET_BUDGET when None). all_ksets runs it before
     building anything, and feasibility.decide on every call before it reads
     its kept copy of the universe."""
-    check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], f"C({n},{k}) >= {{count}} k-sets")
+    check_budget(budget, KSET_BUDGET, lambda cap: [capped_comb(n, k, cap)], "C({},{}) >= {count} k-sets", n, k)
 
 
 def all_ksets(n: int, k: int, budget: Optional[int] = None) -> tuple[KSet, ...]:
@@ -238,7 +240,7 @@ class Hypergraph:
         if not hasattr(self, "_masks"):
             edges = self.sorted_edges()
             check_budget(budget, MASK_WORD_BUDGET, lambda cap: ((e[-1] >> 6) + 1 for e in edges),
-                         f"vertex masks of {len(edges)} edges in >= {{count}} 64-bit words")
+                         "vertex masks of {} edges in >= {count} 64-bit words", len(edges))
             object.__setattr__(self, "_masks", list(map(_vertex_mask, edges)))
         return self._masks
 
@@ -392,7 +394,7 @@ def is_exchangeable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Exc
     The |E|^2 ordered edge pairs times k^2 swaps are gated first
     (PAIR_SCAN_BUDGET when budget is None)."""
     check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2 * h.k ** 2],
-                 f"exchange scan of {len(h.edges)} edges")
+                 "exchange scan of {} edges", len(h.edges))
     masks = h.edge_masks(budget)
     present = set(masks)
     for s1 in masks:
@@ -427,7 +429,7 @@ def find_summable_quadruple(h: Hypergraph, budget: Optional[int] = None,
     check_ksets(n, k, budget)
     non = comb(n, k) - len(edges)  # small, as C(n,k) passed
     check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(non, 2, cap), capped_comb(len(edges), 2, cap)],
-                 f"summable-quadruple scan of {len(edges)} edges and {non} non-edges")
+                 "summable-quadruple scan of {} edges and {} non-edges", len(edges), non)
     masks = h.edge_masks(budget)
     if table is None:
         table = {}
@@ -488,7 +490,7 @@ def is_r_monotone(h: Hypergraph, r: int, budget: Optional[int] = None,
     if r == 1:
         return True  # no pair of distinct singletons has a 1-vertex union; skip listing n vertices
     n, k = h.n, h.k
-    check_budget(budget, PAIR_SCAN_BUDGET, _monotone_work(n, k, r), f"{r}-monotone scan on n={n}, k={k}")
+    check_budget(budget, PAIR_SCAN_BUDGET, _monotone_work(n, k, r), "{}-monotone scan on n={}, k={}", r, n, k)
     present = set(h.edge_masks(budget))
     for lookups in monotone_pairs(n, k, r) if table is None else table:
         seen = {(a in present) - (b in present) for a, b in lookups}
@@ -521,7 +523,7 @@ def graph_orderable(h: Hypergraph, budget: Optional[int] = None) -> Optional[Gra
     """
     if h.k != 2:
         raise NotAGraph(f"orderability is defined for k=2, got k={h.k}")
-    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [h.n], f"ordering {h.n} vertices")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [h.n], "ordering {} vertices", h.n)
     adj: dict[int, set[int]] = {v: set() for v in range(1, h.n + 1)}
     for a, b in h.edges:
         adj[a].add(b)

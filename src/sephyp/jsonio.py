@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Union
 
@@ -29,11 +30,10 @@ def parse_rational(text: Any) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise FormatError(f"rational must be a decimal-integer or p/q string, got {text!r}")
-    return Fraction(text)
-
-
-def rational_str(value: Fraction) -> str:
-    return str(value)
+    try:
+        return Fraction(text)
+    except ValueError:  # a part past the interpreter's int digit limit, the one error a matching string raises
+        raise FormatError(f"rational has a part of more than {sys.get_int_max_str_digits()} digits")
 
 
 def _require(obj: dict, key: str, context: str) -> Any:
@@ -75,10 +75,6 @@ def parse_hypergraph(obj: dict) -> Hypergraph:
     return Hypergraph(n, k, frozenset(edges))  # sorted and distinct as checked; the constructor does the rest
 
 
-def hypergraph_obj(h: Hypergraph) -> dict:
-    return {"n": h.n, "k": h.k, "edges": [list(e) for e in h.sorted_edges()]}
-
-
 def parse_gf2(obj: dict) -> Gf2Matrix:
     rows = _int_field(obj, "rows", "gf2")
     cols = _int_field(obj, "cols", "gf2")
@@ -109,6 +105,8 @@ def _loads(text: str) -> Any:
         raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply")
+    except ValueError:  # an int literal past the interpreter's digit limit, the one other error json.loads raises
+        raise FormatError(f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits")
 
 
 def parse_instance(text: str) -> tuple[str, Instance]:
@@ -166,10 +164,10 @@ def parse_certificate(text: str) -> Certificate:
 
 def certificate_obj(cert: Certificate) -> dict:
     if cert.kind == "separable":
-        return {"kind": "separable", "x": [rational_str(v) for v in cert.x]}
+        return {"kind": "separable", "x": [str(v) for v in cert.x]}
     return {
         "kind": "equatable",
-        "y": [{"set": list(g), "val": rational_str(v)} for g, v in cert.y],
+        "y": [{"set": list(g), "val": str(v)} for g, v in cert.y],
     }
 
 

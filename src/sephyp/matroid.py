@@ -65,14 +65,9 @@ def exchange_violation(h: Hypergraph, budget: Optional[int] = None) -> Optional[
     """Lexicographically first (E1, E2, v1) with no valid exchange, or None.
     The |B|^2 ordered basis pairs are gated first (PAIR_SCAN_BUDGET when None)."""
     check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2],
-                 f"basis exchange scan of {len(h.edges)} bases")
+                 "basis exchange scan of {} bases", len(h.edges))
     bad = _mask_exchange_violation(h.edge_masks(budget))
     return None if bad is None else (_mask_kset(bad[0]), _mask_kset(bad[1]), bad[2])
-
-
-def is_matroid(h: Hypergraph) -> bool:
-    """Nonempty edge set satisfying the basis-exchange axiom."""
-    return bool(h.edges) and exchange_violation(h) is None
 
 
 @record
@@ -124,13 +119,6 @@ def _fundamental_mask(present: set[int], b: int, e: int) -> int:
             c |= x
         rest ^= x
     return c
-
-
-@record
-class Circuit:
-    """Minimal dependent vertex set."""
-
-    elements: KSet
 
 
 @record
@@ -195,7 +183,7 @@ def oracle_from_matroid(m: BasisMatroid) -> IndependenceOracle:
 def loops(m: BasisMatroid, budget: Optional[int] = None) -> frozenset[int]:
     """Vertices contained in no basis; the n vertices it sifts are gated first
     (VERTEX_LIST_BUDGET when None)."""
-    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"loops among {m.n} vertices")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], "loops among {} vertices", m.n)
     return frozenset(v for v in range(1, m.n + 1) if not m._covered >> v & 1)
 
 
@@ -216,7 +204,7 @@ def _minor(m: BasisMatroid, v: int, through: bool, what: str,
     new_k = m.k - through
     if new_k < 1 or new_k >= m.n - 1:
         raise RankCollapse(f"{what} leaves k={new_k} on {m.n - 1} vertices")
-    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], f"{what} mapping of {m.n} vertices")
+    check_budget(budget, VERTEX_LIST_BUDGET, lambda cap: [m.n], "{} mapping of {} vertices", what, m.n)
     low = (1 << v) - 1
     kept = (b for b in m.carrier.edge_masks() if (b >> v & 1) == through)
     renamed = frozenset(_mask_kset((b & low) | (b >> 1 & ~low)) for b in kept)
@@ -242,7 +230,7 @@ def _circuit_masks(m: BasisMatroid, budget: Optional[int] = None) -> tuple[int, 
     """All circuits as vertex masks, in the order of circuits. The |B|·k·(n-k)
     basis lookups are gated first (PAIR_SCAN_BUDGET when None)."""
     check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(m.carrier.edges) * m.k * (m.n - m.k)],
-                 f"circuit scan of {len(m.carrier.edges)} bases on {m.n} elements")
+                 "circuit scan of {} bases on {} elements", len(m.carrier.edges), m.n)
     return m._circuits
 
 
@@ -250,17 +238,6 @@ def circuits(m: BasisMatroid, budget: Optional[int] = None) -> tuple[KSet, ...]:
     """All circuits, ascending by size then lex (none exceeds k+1 elements),
     gated as in _circuit_masks."""
     return tuple(map(_mask_kset, _circuit_masks(m, budget)))
-
-
-def fundamental_circuit(m: BasisMatroid, e: KSet, v: int) -> Circuit:
-    """The unique circuit inside e + v, for a basis e and v outside it."""
-    if tuple(sorted(e)) not in m.carrier.edges:
-        raise PreconditionViolated(f"{e} is not a basis")
-    if v in e:
-        raise PreconditionViolated(f"{v} already in {e}")
-    if not 1 <= v <= m.n:
-        raise PreconditionViolated(f"vertex {v} outside 1..{m.n}")
-    return Circuit(_mask_kset(_fundamental_mask(set(m.carrier.edge_masks()), _vertex_mask(e), 1 << v)))
 
 
 def is_paving(m: BasisMatroid) -> bool:
@@ -313,7 +290,7 @@ def lines(m: BasisMatroid, budget: Optional[int] = None) -> LineDecomposition:
     if lp:
         raise HasLoops(f"matroid has loops {sorted(lp)}")
     check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [capped_comb(m.n, 2, cap) * len(m.carrier.edges)],
-                 f"line scan of {m.n} elements and {len(m.carrier.edges)} bases")
+                 "line scan of {} elements and {} bases", m.n, len(m.carrier.edges))
     covered = {x | y for b in m.carrier.edge_masks() for x, y in combinations([1 << v for v in _mask_kset(b)], 2)}
     dep = lambda u, v: (1 << u | 1 << v) not in covered
     parts = _lines_from_dependence(list(range(1, m.n + 1)), dep)
@@ -359,12 +336,16 @@ def from_gf2_matrix(
 
 
 def _graphic_rank(graph: Graph, edge_indices: Iterable[int]) -> int:
-    """Rank of a set of edges (indexed 1..): the successful union-find unions."""
-    parent = list(range(graph.vertices + 1))
+    """Rank of a set of edges (indexed 1..): the successful union-find unions.
+    Only the endpoints met get a parent, so the declared vertex count costs nothing;
+    a root has none. Each find halves the path it walks, so a star's chain of
+    unions stays short."""
+    parent: dict[int, int] = {}
 
     def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
+        while a in parent:
+            b = parent[a]
+            parent[a] = parent.get(b, b)
             a = parent[a]
         return a
 
@@ -390,19 +371,3 @@ def from_graph(graph: Graph, budget: Optional[int] = None) -> BasisMatroid:
     bases = [s for s in all_ksets(n, k, budget) if _graphic_rank(graph, s) == k]
     return BasisMatroid(Hypergraph(n, k, frozenset(bases)), budget)
 
-
-def augment(m: BasisMatroid, independent: Iterable[int], basis: Iterable[int]) -> KSet:
-    """Lexicographically smallest completion of an independent set to a basis
-    using elements of the given basis."""
-    i_set = frozenset(independent)
-    b_tuple = tuple(sorted(basis))
-    if b_tuple not in m.carrier.edges:
-        raise PreconditionViolated(f"{b_tuple} is not a basis")
-    if not is_independent(m, i_set):
-        raise PreconditionViolated(f"{tuple(sorted(i_set))} is not independent")
-    need = m.k - len(i_set)
-    for j in combinations(sorted(set(b_tuple) - i_set), need):
-        candidate = tuple(sorted(i_set | set(j)))
-        if candidate in m.carrier.edges:
-            return candidate
-    raise NotAMatroid("augmentation failed; basis exchange must be broken")

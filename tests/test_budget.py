@@ -7,20 +7,24 @@ pairs of the basis-exchange check, the element pairs times bases lines scans,
 the combinations the certificate search walks, the n vertices loops,
 graph_orderable and a minor's vertex mapping list, the r-monotone scan's
 pairs and lookups, the permutations times k-sets of the harness's orbit
-tables, and the 64-bit words of decide's packed tableau and price rows. The
-capped binomial behind them is checked against math.comb."""
+tables, the 64-bit words of decide's packed tableau and price rows, and
+decide_fm's vertices and rows per elimination stage. The capped binomial
+behind them is checked against math.comb, and the gate's message is shown to
+be formatted only on a refusal."""
 
+import ast
 import tokenize
 from itertools import combinations, product
 from math import comb, factorial
 from pathlib import Path
+from string import Formatter
 
 import pytest
 
 import sephyp
 from sephyp import feasibility
 from sephyp.errors import BudgetExceeded
-from sephyp.feasibility import _field_width, build_system, decide, find_binary_certificate
+from sephyp.feasibility import _field_width, build_system, decide, decide_fm, find_binary_certificate
 from sephyp.harness import _orbit_tables, enumerate_hypergraphs, run_enumeration
 from sephyp.hypercore import (
     PROVEN,
@@ -139,6 +143,50 @@ def test_proven_skips_the_gate():
         raise AssertionError("work counted under PROVEN")
 
     assert check_budget(PROVEN, 0, work, "unreachable {count}") is None
+
+
+def test_message_formatted_only_on_refusal():
+    # what is a template filled in with args and {count} just before the
+    # refusal is raised: under PROVEN, or within the cap, it is never formatted
+    def work(cap):
+        raise AssertionError("work counted under PROVEN")
+
+    assert check_budget(PROVEN, 0, work, "{missing} {5}", "arg") is None
+    assert check_budget(None, 4, lambda cap: [2, 2], "{missing} {5}", "arg") is None
+    with pytest.raises(BudgetExceeded, match=r"^scan of 2 sets in >= 5 steps exceeds budget 4$"):
+        check_budget(4, 0, lambda cap: [2, 3, 9], "scan of {} sets in >= {count} steps", 2)
+
+
+def test_no_gate_formats_its_message_before_the_check():
+    # an f-string passed as what would be built on every call, refused or not;
+    # a literal template fills its args in order, with {} fields and {count}
+    calls = 0
+    for path in sorted(Path(sephyp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_budget":
+                calls += 1
+                what = node.args[3]
+                assert not any(isinstance(n, ast.JoinedStr) for n in ast.walk(what)), (path.name, node.lineno)
+                if isinstance(what, ast.Constant):
+                    fields = {field for _, field, _, _ in Formatter().parse(what.value) if field is not None}
+                    assert fields <= {"", "count"}, (path.name, node.lineno)
+    assert calls >= 18
+
+
+def test_fm_vertex_gate_boundary():
+    # decide_fm admits FM_VERTEX_BUDGET = 6 vertices; it takes no budget, so no caller moves the cap
+    assert decide_fm(Hypergraph.from_edges(6, 2, [(1, 2)])).kind == "separable"
+    with pytest.raises(BudgetExceeded, match=r"^Fourier-Motzkin elimination on 7 vertices exceeds budget 6$"):
+        decide_fm(Hypergraph.from_edges(7, 2, [(1, 2)]))
+
+
+def test_fm_row_gate_boundary(monkeypatch, sep_six):
+    # separable_six's elimination stages hold 20, 26, 37, 70, 43, 2 and 0 rows
+    monkeypatch.setattr(feasibility, "FM_ROW_BUDGET", 69)
+    with pytest.raises(BudgetExceeded, match=r"^Fourier-Motzkin stage of 70 rows exceeds budget 69$"):
+        decide_fm(sep_six)
+    monkeypatch.setattr(feasibility, "FM_ROW_BUDGET", 70)
+    assert decide_fm(sep_six).kind == "separable"
 
 
 def test_only_the_gate_and_the_harness_name_proven():

@@ -78,6 +78,14 @@ class TestDecide:
         code, _, err = run(capsys, "decide", f"{FX}/separable_six.json")
         assert code == 65 and "budget" in err
 
+    def test_method_fm_vertex_cap_left_by_the_budget_env(self, capsys, monkeypatch, tmp_path):
+        inst = tmp_path / "seven.json"
+        inst.write_text('{"type":"hypergraph","n":7,"k":2,"edges":[[1,2]]}')
+        monkeypatch.setenv("SEPHYP_BUDGET", "1000")
+        code, out, err = run(capsys, "decide", str(inst), "--method", "fm")
+        assert (code, out) == (65, "")
+        assert err == "budget exceeded: Fourier-Motzkin elimination on 7 vertices exceeds budget 6\n"
+
     @pytest.mark.parametrize("target", ["missing/cert.json", "."], ids=["missing directory", "directory"])
     def test_unwritable_certificate_out(self, capsys, tmp_path, target):
         path = str(tmp_path / target)
@@ -173,6 +181,31 @@ class TestIntegerLists:
         path.write_text(text)
         code, _, err = run(capsys, "verify", f"{FX}/{instance}", str(path))
         assert code == 64 and err.startswith("parse error: rational must be")
+
+
+class TestLongIntegers:
+    """An integer of more digits than the interpreter converts, as a JSON
+    number or inside a rational string, is a parse error like any other."""
+
+    DIGITS = "9" * 5001
+
+    @pytest.mark.parametrize("instance, certificate", [
+        ('{"type":"hypergraph","n":%s,"k":2,"edges":[]}' % DIGITS, None),
+        (None, '{"kind":"separable","x":["%s","1","1"]}' % DIGITS),
+        (None, '{"kind":"equatable","y":[{"set":[1,2],"val":"%s"}]}' % DIGITS),
+        (None, '{"kind":"equatable","y":[{"set":[1,2],"val":"1/%s"}]}' % DIGITS),
+    ], ids=["decide-n", "verify-x", "verify-val", "verify-val-denominator"])
+    def test_refused_as_a_parse_error(self, capsys, tmp_path, instance, certificate):
+        inst = tmp_path / "inst.json"
+        inst.write_text(instance or '{"type":"hypergraph","n":3,"k":2,"edges":[[1,2]]}')
+        argv = ["decide", str(inst)]
+        if certificate is not None:
+            cert = tmp_path / "cert.json"
+            cert.write_text(certificate)
+            argv = ["verify", str(inst), str(cert)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("parse error: ") and "more than 4300 digits" in err
 
 
 class TestAnalyze:
@@ -670,6 +703,41 @@ class TestLargeInstance:
         inst.write_text(json.dumps({"type": "hypergraph", "n": 20, "k": 2, "edges": bases}))
         done = self.cli("matroid", "binary", str(inst))
         assert (done.returncode, done.stdout) == (0, b"binary: no\n")
+
+    def test_graph_of_a_hundred_thousand_declared_vertices(self, tmp_path):
+        # ten path edges, each doubled: C(20,10) k-sets, each ranked by a
+        # union-find that must not list all the declared vertices
+        inst = tmp_path / "path.json"
+        edges = [[v, v + 1] for v in range(1, 11) for _ in range(2)]
+        inst.write_text(json.dumps({"type": "graph", "vertices": 100_000, "edges": edges}))
+        done = self.cli("matroid", "loops", str(inst))
+        assert (done.returncode, done.stdout) == (0, b"loops: []\n")
+
+    def test_graph_of_a_trillion_declared_vertices(self, tmp_path):
+        # two disjoint edges have rank 2 = n, whatever the vertex count
+        inst = tmp_path / "two.json"
+        inst.write_text(json.dumps({"type": "graph", "vertices": 10 ** 12, "edges": [[1, 2], [3, 4]]}))
+        done = self.cli("matroid", "loops", str(inst))
+        assert done.returncode == 64
+        assert done.stderr == f"parse error: {inst}: graphic matroid has k=2 on 2 edges\n".encode()
+
+    def test_graph_of_a_hundred_thousand_edge_star(self, tmp_path):
+        # each union makes the new leaf the root, so vertex 1's path grows by
+        # one edge a time unless finds shorten it; the rank is then n
+        inst = tmp_path / "star.json"
+        inst.write_text(json.dumps({"type": "graph", "vertices": 100_001,
+                                    "edges": [[1, v] for v in range(2, 100_002)]}))
+        done = self.cli("matroid", "loops", str(inst))
+        assert done.returncode == 64
+        assert done.stderr == f"parse error: {inst}: graphic matroid has k=100000 on 100000 edges\n".encode()
+
+    def test_graph_of_a_two_thousand_edge_star_with_a_doubled_edge(self, tmp_path):
+        # C(2001,2000) k-sets, each ranked over a star's growing chain of unions
+        inst = tmp_path / "star.json"
+        inst.write_text(json.dumps({"type": "graph", "vertices": 2001,
+                                    "edges": [[1, v] for v in range(2, 2002)] + [[1, 2]]}))
+        done = self.cli("matroid", "loops", str(inst))
+        assert (done.returncode, done.stdout) == (0, b"loops: []\n")
 
     def test_orderable_of_two_hundred_thousand_vertices(self, tmp_path):
         # each pick pops a degree heap instead of re-sorting the remaining

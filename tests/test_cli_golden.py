@@ -58,7 +58,7 @@ def _plain_env(monkeypatch):
 
 def test_golden_cli_outputs(capsys):
     runs = [argv + ["--output", mode] for argv in _matrix() for mode in ("text", "json")]
-    assert _digest(capsys, runs) == "f1076f11f06e5362c055dff6a31e0447bf91f8dbf8a90ba2d071dc935535a0b9"
+    assert _digest(capsys, runs) == "58665858133b6a09a9f1a23abd2ab16310a59cf1021b1bad3681abb40e248d6a"
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse help layout differs between Python versions")

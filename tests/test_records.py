@@ -16,7 +16,7 @@ from sephyp.feasibility import EquatableCertificate, FarkasSystem, SeparableCert
 from sephyp.harness import EnumerationReport, _Instance
 from sephyp.hypercore import (ExchangeWitness, Gf2Matrix, Graph, GraphOrdering, Hypergraph, Partition,
                               SummableQuadruple, record)
-from sephyp.matroid import BasisMatroid, Circuit, LineDecomposition
+from sephyp.matroid import BasisMatroid, LineDecomposition
 from sephyp.oracle_algorithms import AdversaryInstance, IndistinguishabilityReport, OracleDecision
 
 K4 = Hypergraph(4, 2, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}))
@@ -52,7 +52,6 @@ SAMPLES = {
                      decide=decide, tables=None),
                 dict(h=K4, cert=SeparableCertificate((Fraction(1),) * 4), witness=None, matroid=None, proved=False,
                      decide=decide, tables=None)),
-    Circuit: (dict(elements=(1, 2)), dict(elements=(1, 2, 3))),
     LineDecomposition: (dict(lines=((1, 2), (3,)), nontrivial_count=1),
                         dict(lines=((1,), (2,), (3,)), nontrivial_count=0)),
     OracleDecision: (dict(verdict="separable", queries_used=3, trace=(((1,), True),)),
