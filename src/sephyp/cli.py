@@ -5,7 +5,7 @@ enumerate, search-cert. Exit codes are a stable contract:
 
     0   success
     2   certificate invalid (verify)
-    64  parse error or unusable instance file
+    64  parse error, usage error or unusable instance file
     65  budget exceeded
     66  flag or operation inapplicable to the instance
     67  matroid-requiring subcommand on a non-matroid
@@ -46,7 +46,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from . import __version__
 from .errors import (
@@ -385,9 +385,17 @@ def _cmd_search_cert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error, not argparse's 2, which the contract gives to an invalid certificate; each
+    subparser is one too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"parse error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sephyp", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="sephyp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"sephyp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,8 @@ vertex), never both; decide() returns whichever certificate exists and
 always self-checks it before returning.
 
 Two independent deciders are provided: decide() runs an exact phase-I simplex
-(Bland's rule, lexicographic column order), and decide_fm() runs
+(Bland's rule, lexicographic column order) to objective zero or to Bland's
+optimum, whichever comes first, and decide_fm() runs
 Fourier-Motzkin elimination with multiplier tracking. They share only the
 verifiers and the _package_* certificate checks with their _coprime_factor
 scaling.
@@ -40,6 +41,7 @@ from .hypercore import (CERT_SEARCH_BUDGET, FM_ROW_BUDGET, FM_VERTEX_BUDGET, PAC
                         all_ksets, capped_comb, _edge_fault, _ksets_valid, check_budget, check_ksets, record)
 
 SetLabeling = dict[KSet, Fraction]
+Rational = Union[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,8 +103,9 @@ def build_system(h: Hypergraph, budget: Optional[int] = None) -> FarkasSystem:
     return FarkasSystem(rows, tuple(matrix), tuple(rhs))
 
 
-def _coprime_factor(values: list[Fraction]) -> Fraction:
-    """The positive rational scaling values to coprime integers (1 if all are 0)."""
+def _coprime_factor(values: list[Rational]) -> Fraction:
+    """The positive rational scaling values, ints or Fractions, to coprime integers (1 if all
+    are 0). The scaled values are the same for any positive multiple of values."""
     nonzero = [v for v in values if v]
     if not nonzero:
         return ONE
@@ -110,7 +113,7 @@ def _coprime_factor(values: list[Fraction]) -> Fraction:
     return Fraction(denom_lcm, gcd(*(v.numerator * (denom_lcm // v.denominator) for v in nonzero)))
 
 
-def _package_separable(h: Hypergraph, x: list[Fraction]) -> SeparableCertificate:
+def _package_separable(h: Hypergraph, x: list[Rational]) -> SeparableCertificate:
     scale = _coprime_factor(x)
     cert = SeparableCertificate(tuple(v * scale for v in x))
     violation = separating_violation(h, cert.x)
@@ -119,7 +122,7 @@ def _package_separable(h: Hypergraph, x: list[Fraction]) -> SeparableCertificate
     return cert
 
 
-def _package_equatable(h: Hypergraph, labeling: SetLabeling) -> EquatableCertificate:
+def _package_equatable(h: Hypergraph, labeling: dict[KSet, Rational]) -> EquatableCertificate:
     keys = sorted(g for g, v in labeling.items() if v)
     scale = _coprime_factor([labeling[g] for g in keys])
     cert = EquatableCertificate(tuple((g, labeling[g] * scale) for g in keys))
@@ -175,8 +178,17 @@ def equatable_violation(h: Hypergraph, y: SetLabeling) -> Optional[str]:
     for v in sorted(edge_mass.keys() | non_mass.keys()):
         e, f = edge_mass.get(v, 0), non_mass.get(v, 0)
         if e != f:
-            return f"vertex {v} imbalanced: edge mass {Fraction(e, scale)}, non-edge mass {Fraction(f, scale)}"
+            return f"vertex {v} imbalanced: edge mass {_mass_text(e, scale)}, non-edge mass {_mass_text(f, scale)}"
     return None
+
+
+def _mass_text(mass: int, scale: int) -> str:
+    """str(Fraction(mass, scale)), or the bit lengths of its terms where str refuses an int of too many digits."""
+    value = Fraction(mass, scale)
+    try:
+        return str(value)
+    except ValueError:
+        return f"a {value.numerator.bit_length()}-bit integer over a {value.denominator.bit_length()}-bit integer"
 
 
 def verify_equatable(h: Hypergraph, y: SetLabeling) -> bool:
@@ -293,6 +305,16 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     rule plus the fixed lexicographic column order make the result
     deterministic within a build.
 
+    The pivots stop once the objective is zero, and the labeling read there
+    is the one Bland's rule would end with. The objective is nonnegative, so
+    every pivot Bland's rule would take after that point has step 0: the
+    pivot row's rhs is 0. So a Bareiss pivot turns each row's rhs_i into
+    p rhs_i / d and d into p, which keeps every rhs_i / d, and the variable
+    that leaves and the one that enters both have value 0. The labeling,
+    rows[j]: rhs_i / d over the nonzero rhs_i of the k-set columns, is
+    therefore the same dict. A separable h never reaches zero and runs to
+    Bland's optimum.
+
     The simplex is revised and fraction-free (Edmonds 1967, Bareiss 1968).
     The full int tableau is d times the true one, d being the last pivot (1
     at the start); of it only d B^-1, the rhs column and the artificial part
@@ -330,8 +352,8 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     signed again at the new width, only when need outgrows f. The blocks
     double so that a scan stopping in column j has priced at most 2j + 16
     columns, one block sum each of a logarithmic number of blocks. On
-    average a scan reads 42 of 172 columns on the decide-random bench's
-    instances, 291 of 11175 on a G(150, 1/2) graph.
+    average a scan reads 38 of 172 columns on the decide-random bench's
+    instances, 73 of 11175 on a G(150, 1/2) graph.
 
     Two gates run before anything is built. The C(n,k) gate runs on every
     call, at budget (KSET_BUDGET when None). A decide that builds its
@@ -367,7 +389,7 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     blocks: list[tuple[list[int], list[int], int]] = []
     f = 0  # bits per field of the blocks
 
-    while True:
+    while z[-1]:
         price = [c - d for c in z[:-1]]
         need = ((h.k + 1) * max(max(price), -min(price))).bit_length() + 1
         if need > f:
@@ -416,21 +438,17 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
         d = p
         basis[pivot_row] = pivot_col
 
-    if z[-1] == 0:  # phase-I optimum 0: the alternative system is feasible
-        labeling: SetLabeling = {}
+    if z[-1] == 0:  # objective 0: the alternative system is feasible, y = rhs / d, d scaled away in packaging
         rhs = [((cols[-1] + bias) >> s & mask) - half for s in shifts]
-        for i, j in enumerate(basis):
-            if j < m and rhs[i]:
-                labeling[rows[j]] = Fraction(rhs[i], d)
-        return _package_equatable(h, labeling)
+        return _package_equatable(h, {rows[j]: rhs[i] for i, j in enumerate(basis) if j < m and rhs[i]})
 
     # Infeasible: dual values u_i = 1 - reduced cost of artificial i, that is
     # (d - z[i]) / d, satisfy A (u[:n]) <= u[n] b with u[n] = objective > 0,
-    # so x = u[:n] / u[n] and the d cancels.
+    # so x = u[:n] / u[n] = (d - z[:n]) / lam, and packaging scales away the lam.
     lam = d - z[n]
     if lam <= 0:
         raise InternalVerificationError("Farkas scaling factor not positive")
-    return _package_separable(h, [Fraction(d - z[i], lam) for i in range(n)])
+    return _package_separable(h, [d - z[i] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,18 @@ class TestLongIntegers:
         assert (code, out) == (64, "")
         assert err.startswith("parse error: ") and "more than 4300 digits" in err
 
+    @pytest.mark.parametrize("values", [("9" * 4300,) * 2, ("1/" + "3" * 4300, "1/" + "7" * 4300)],
+                             ids=["numerators", "denominators"])
+    def test_vertex_mass_past_the_limit_is_invalid(self, capsys, tmp_path, values):
+        # each value converts, but their sum, vertex 1's edge mass, has a term of more digits than str converts
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        inst.write_text('{"type":"hypergraph","n":3,"k":2,"edges":[[1,2],[1,3]]}')
+        cert.write_text(json.dumps({"kind": "equatable", "y": [{"set": g, "val": val}
+                                                               for g, val in zip([[1, 2], [1, 3]], values)]}))
+        code, out, err = run(capsys, "verify", str(inst), str(cert))
+        assert (code, err) == (2, "")
+        assert out.startswith("invalid: vertex 1 imbalanced: edge mass a ") and out.endswith(", non-edge mass 0\n")
+
 
 class TestAnalyze:
     def test_counterexample_nine_flags(self, capsys):
@@ -390,6 +402,26 @@ class TestHelp:
         assert "    enumerate                               instances, 2^C(n,k)   2^24" in lines
         assert "    search-cert                             support combinations  5000000" in lines
         assert "    matroid circuits, matroid binary        lookups, |B|*k*(n-k)  4000000" in lines
+
+
+class TestUsageErrors:
+    """A usage error exits 64, not argparse's 2, which verify keeps for an invalid certificate."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", f"{FX}/path_four.json", "--monotone", "abc"], "argument --monotone: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["flag-value", "bare"])
+    def test_exits_64(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 64 and err.startswith("usage: sephyp") and err.endswith(f"\nparse error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0 and capsys.readouterr().err == ""
 
 
 class TestSearchCert:

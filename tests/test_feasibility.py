@@ -414,9 +414,12 @@ class TestGoldenCertificates:
 
 def _list_tableau_decide(h):
     """decide() with d B^-1 and the rhs kept as a list of int rows, each
-    updated cell by cell, and Bland's scan pricing one column at a time: the
-    simplex before its columns and its pricing were packed, kept here only as
-    the reference the packed version must reproduce."""
+    updated cell by cell, Bland's scan pricing one column at a time, and the
+    pivots run to Bland's optimum: the simplex before its columns and its
+    pricing were packed and before it stopped at objective zero, kept here
+    only as the reference the packed version must reproduce. Returns the
+    certificate, the pivots made and the pivots made when the objective first
+    read zero (None if it never did)."""
     rows = list(combinations(range(1, h.n + 1), h.k))
     m, n = len(rows), h.n
     columns = [(-1, idx) if g in h.edges else (1, idx + (n,))
@@ -425,6 +428,7 @@ def _list_tableau_decide(h):
     basis = [m + i for i in range(n + 1)]
     z = [0] * (n + 1) + [-1]
     d = 1
+    pivots, zero_at = 0, None
     while True:
         price = [c - d for c in z].__getitem__
         for pivot_col, (sign, idx) in enumerate(columns):
@@ -459,10 +463,15 @@ def _list_tableau_decide(h):
                 target[:] = [p * a // d for a in target]
         d = p
         basis[pivot_row] = pivot_col
+        pivots += 1
+        if zero_at is None and z[-1] == 0:
+            zero_at = pivots
     if z[-1] == 0:
-        return _package_equatable(h, {rows[j]: Fraction(tableau[i][-1], d)
+        cert = _package_equatable(h, {rows[j]: Fraction(tableau[i][-1], d)
                                       for i, j in enumerate(basis) if j < m and tableau[i][-1]})
-    return _package_separable(h, [Fraction(d - z[i], d - z[n]) for i in range(n)])
+    else:
+        cert = _package_separable(h, [Fraction(d - z[i], d - z[n]) for i in range(n)])
+    return cert, pivots, zero_at
 
 
 def _random_graph(n, seed):
@@ -511,7 +520,7 @@ class TestPackedTableau:
             edges = _threshold_edges(rng, ksets, n)
             instances += [Hypergraph(n, k, frozenset(edges)), Hypergraph(n, k, frozenset(edges ^ set(ksets[::step])))]
         instances.append(Hypergraph(30, 3, frozenset(combinations(range(1, 31), 3))))  # no pivot: every block is built
-        expected = [_list_tableau_decide(h) for h in instances]
+        expected = [_list_tableau_decide(h)[0] for h in instances]
         assert {cert.kind for cert in expected} == {"separable", "equatable"}
         monkeypatch.setattr(feasibility, "_column_index", {})
 
@@ -545,6 +554,17 @@ class TestPackedTableau:
             agree(cold)
             built = [q for columns in feasibility._column_index.values() for _, q in columns.blocks]
             assert built and min(built) >= 2
+
+    def test_stop_at_objective_zero_keeps_the_certificate(self):
+        # decide stops once the objective is zero; the reference runs on to
+        # Bland's optimum, so the instances it pivots past zero exercise the stop
+        past_zero = 0
+        for h in [*enumerate_hypergraphs(5, 3), *_decide_random_sample()]:
+            cert, pivots, zero_at = _list_tableau_decide(h)
+            assert (zero_at is not None) == (cert.kind == "equatable")
+            assert decide(h) == cert, (h.n, h.k, sorted(h.edges))
+            past_zero += zero_at is not None and pivots > zero_at
+        assert past_zero >= 100
 
     def test_warm_shape_still_gated(self, monkeypatch, counterexample_nine):
         # the C(n,k) gate runs at the caller's budget on every call, before
