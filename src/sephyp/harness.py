@@ -53,6 +53,7 @@ from .hypercore import (
     PROVEN,
     ExchangeWitness,
     Hypergraph,
+    KSet,
     _mask_kset,
     _monotone_work,
     _vertex_mask,
@@ -263,12 +264,12 @@ def _multipartite_masks(tables: MaskTables) -> Iterator[int]:
 
 
 def _orbit_tables(n: int, k: int, budget: Optional[int] = None
-                  ) -> tuple[dict[int, int], list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The instance-mask bit of each k-set, keyed by its vertex mask; every
-    permutation p of 1..n, identity first, as a tuple with p[v] the image of
-    v (p[0] = 0); and its k-set table: entry i is the mask bit of the image of
-    the i-th lexicographic k-set. The n!·C(n,k) table entries are gated first
-    (ORBIT_TABLE_BUDGET when budget is None)."""
+                  ) -> tuple[tuple[KSet, ...], dict[int, int], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The lexicographic k-sets; the instance-mask bit of each, keyed by its
+    vertex mask; every permutation p of 1..n, identity first, as a tuple with
+    p[v] the image of v (p[0] = 0); and its k-set table: entry i is the mask
+    bit of the image of the i-th k-set. The n!·C(n,k) table entries are gated
+    first (ORBIT_TABLE_BUDGET when budget is None)."""
     ksets = all_ksets(n, k)
 
     def work(cap: int) -> Iterator[int]:
@@ -283,7 +284,7 @@ def _orbit_tables(n: int, k: int, budget: Optional[int] = None
     bit = {_vertex_mask(g): 1 << i for i, g in enumerate(ksets)}
     perms = [(0, *images) for images in permutations(range(1, n + 1))]
     tables = [tuple(bit[sum(1 << p[v] for v in g)] for g in ksets) for p in perms]
-    return bit, perms, tables
+    return ksets, bit, perms, tables
 
 
 class _OrbitDecider:
@@ -294,16 +295,17 @@ class _OrbitDecider:
     packed as the representative's index in certs times n! plus p's index
     in perms. Every other instance of the orbit gets the representative's
     certificate moved by p, x[p(v)] = x[v] or y[p(G)] = y[G], and checked on
-    itself with the public verifier. Past ORBIT_TABLE_BUDGET the group is
-    trivial: no table is built and no entry kept, so each instance is
-    decided on its own.
+    itself with the public verifier (see _moved). Past ORBIT_TABLE_BUDGET
+    the group is trivial: no table is built and no entry kept, so each
+    instance is decided on its own.
     """
 
     def __init__(self, n: int, k: int):
         try:
-            self.bit, self.perms, self.tables = _orbit_tables(n, k)
+            self.ksets, self.bit, self.perms, self.tables = _orbit_tables(n, k)
         except BudgetExceeded:
-            self.bit, self.perms, self.tables = {}, [], []
+            self.ksets, self.bit, self.perms, self.tables = (), {}, [], []
+        self.index = {g: i for i, g in enumerate(self.ksets)}
         self.seen: dict[int, int] = {}
         self.certs: list[Certificate] = []
 
@@ -315,7 +317,7 @@ class _OrbitDecider:
         code = self.seen.get(mask)
         if code is not None:
             rep, j = divmod(code, len(self.perms))
-            return _moved(h, self.certs[rep], self.perms[j])
+            return self._moved(h, self.certs[rep], j)
         cert = decide(h)
         code = len(self.certs) * len(self.perms)
         self.certs.append(cert)
@@ -324,23 +326,27 @@ class _OrbitDecider:
             self.seen.setdefault(sum(map(table.__getitem__, bits)), code + j)
         return cert
 
-
-def _moved(h: Hypergraph, cert: Certificate, p: tuple[int, ...]) -> Certificate:
-    """cert, decided for the instance that p carries to h, moved to h by the
-    vertex permutation p; raises InternalVerificationError unless the public
-    verifier accepts it on h."""
-    if cert.kind == "separable":
-        x = list(cert.x)
-        for v, val in enumerate(cert.x, 1):
-            x[p[v] - 1] = val
-        moved: Certificate = SeparableCertificate(tuple(x))
-        valid = verify_separating(h, moved.x)
-    else:
-        moved = EquatableCertificate(tuple(sorted((tuple(sorted(p[v] for v in g)), val) for g, val in cert.y)))
-        valid = verify_equatable(h, moved.as_dict())
-    if not valid:
-        raise InternalVerificationError(f"moved {cert.kind} certificate fails on {h.sorted_edges()}")
-    return moved
+    def _moved(self, h: Hypergraph, cert: Certificate, j: int) -> Certificate:
+        """cert, decided for the instance that perms[j] carries to h, moved to h
+        by that permutation; raises InternalVerificationError unless the public
+        verifier accepts it on h. A labeling's k-set i moves to the k-set whose
+        mask bit is tables[j][i]; the entries, ordered by that bit, are ordered
+        as their k-sets, as the lexicographic k-sets take ascending bits."""
+        if cert.kind == "separable":
+            p = self.perms[j]
+            x = list(cert.x)
+            for v, val in enumerate(cert.x, 1):
+                x[p[v] - 1] = val
+            moved: Certificate = SeparableCertificate(tuple(x))
+            valid = verify_separating(h, moved.x)
+        else:
+            table, index, ksets = self.tables[j], self.index, self.ksets
+            images = sorted((table[index[g]], val) for g, val in cert.y)
+            moved = EquatableCertificate(tuple((ksets[b.bit_length() - 1], val) for b, val in images))
+            valid = verify_equatable(h, moved.as_dict())
+        if not valid:
+            raise InternalVerificationError(f"moved {cert.kind} certificate fails on {h.sorted_edges()}")
+        return moved
 
 
 @record
@@ -413,16 +419,20 @@ class _Instance:
         """The first circuit pair, shared v and u in the first only (ascending)
         with no circuit through u inside the union less v."""
         circ = _circuit_masks(self.matroid, self.tables.law_budget) if self.matroid is not None else ()
+        covers: dict[int, int] = {}  # pool -> the union of the circuits inside it, each found once
         for c1 in circ:
             for c2 in circ:
                 shared = c1 & c2 if c1 != c2 else 0
                 while shared:
                     v, shared = shared & -shared, shared & (shared - 1)
                     pool = (c1 | c2) ^ v
-                    covered = 0
-                    for c in circ:
-                        if c & pool == c:
-                            covered |= c
+                    covered = covers.get(pool)
+                    if covered is None:
+                        covered = 0
+                        for c in circ:
+                            if c & pool == c:
+                                covered |= c
+                        covers[pool] = covered
                     missing = c1 & ~c2 & ~covered
                     if missing:
                         u = (missing & -missing).bit_length() - 1

@@ -139,13 +139,21 @@ def _vertex_mask(kset: Iterable[int]) -> int:
 
 def _mask_kset(mask: int) -> KSet:
     """The positions of the set bits of mask, ascending: the vertices of a
-    vertex mask. The one walk over the bits of a mask."""
+    vertex mask. The one walk over the bits of a mask; a mask below 256
+    reads its tuple from _BYTE_KSETS."""
+    if mask < 256:
+        return _BYTE_KSETS[mask]
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+_BYTE_KSETS: list[KSet] = [()]  # each byte's set bits: those of mask + 2^v, mask < 2^v, are mask's and then v
+for _bit in range(8):
+    _BYTE_KSETS += [bits + (_bit,) for bits in _BYTE_KSETS]
 
 
 def _edge_fault(e: object, n: int, k: int) -> Optional[tuple[tuple, str]]:
