@@ -24,8 +24,9 @@ Two independent deciders are provided: decide() runs an exact phase-I simplex
 (Bland's rule, lexicographic column order) to objective zero or to Bland's
 optimum, whichever comes first, and decide_fm() runs
 Fourier-Motzkin elimination with multiplier tracking. They share only the
-verifiers and the _package_* certificate checks with their _coprime_factor
-scaling.
+verifiers and the _package_* certificate checks with their _coprime scaling,
+which puts each answer's numerators over the lcm of its denominators in ints
+and divides out their gcd.
 """
 
 from __future__ import annotations
@@ -103,19 +104,19 @@ def build_system(h: Hypergraph, budget: Optional[int] = None) -> FarkasSystem:
     return FarkasSystem(rows, tuple(matrix), tuple(rhs))
 
 
-def _coprime_factor(values: list[Rational]) -> Fraction:
-    """The positive rational scaling values, ints or Fractions, to coprime integers (1 if all
-    are 0). The scaled values are the same for any positive multiple of values."""
-    nonzero = [v for v in values if v]
-    if not nonzero:
-        return ONE
-    denom_lcm = lcm(*(v.denominator for v in nonzero))
-    return Fraction(denom_lcm, gcd(*(v.numerator * (denom_lcm // v.denominator) for v in nonzero)))
+def _coprime(values: list[Rational]) -> list[Fraction]:
+    """values, ints or Fractions, times the positive rational that makes them
+    coprime integers (all 0 stay 0), each as a Fraction. The result is the
+    same for any positive multiple of values: each numerator is scaled over
+    the lcm of the denominators, in ints, and divided by their gcd."""
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*scaled) or 1
+    return [Fraction(v // g) for v in scaled]
 
 
 def _package_separable(h: Hypergraph, x: list[Rational]) -> SeparableCertificate:
-    scale = _coprime_factor(x)
-    cert = SeparableCertificate(tuple(v * scale for v in x))
+    cert = SeparableCertificate(tuple(_coprime(x)))
     violation = separating_violation(h, cert.x)
     if violation is not None:
         raise InternalVerificationError(f"separable certificate fails at {violation}")
@@ -124,8 +125,7 @@ def _package_separable(h: Hypergraph, x: list[Rational]) -> SeparableCertificate
 
 def _package_equatable(h: Hypergraph, labeling: dict[KSet, Rational]) -> EquatableCertificate:
     keys = sorted(g for g, v in labeling.items() if v)
-    scale = _coprime_factor([labeling[g] for g in keys])
-    cert = EquatableCertificate(tuple((g, labeling[g] * scale) for g in keys))
+    cert = EquatableCertificate(tuple(zip(keys, _coprime([labeling[g] for g in keys]))))
     violation = equatable_violation(h, cert.as_dict())
     if violation is not None:
         raise InternalVerificationError(f"equatable certificate fails: {violation}")
@@ -134,7 +134,7 @@ def _package_equatable(h: Hypergraph, labeling: dict[KSet, Rational]) -> Equatab
 
 def separating_violation(h: Hypergraph, x) -> Optional[KSet]:
     """First k-set (lexicographic) violating the separability equation, or None."""
-    vals = [Fraction(v) for v in x]
+    vals = [v if type(v) is Fraction else Fraction(v) for v in x]
     if len(vals) != h.n:
         raise ValueError(f"labeling has length {len(vals)}, expected {h.n}")
     # Scaling by the positive lcm of the denominators keeps every sign, so
@@ -278,12 +278,14 @@ def _columns(n: int, k: int, budget: Optional[int]) -> _Columns:
     return columns
 
 
-def _price_block(columns: _Columns, b: int, q: int, edge: bytes) -> tuple[list[int], list[int], int]:
+def _price_block(columns: _Columns, b: int, q: int, edge: bytes) -> tuple[list[int], list[int], int, int]:
     """Block b of columns at fields of q bytes, signed for one instance: the
     rows its columns meet, one int per row whose field j is the row's entry in
-    column j, and the int with the top bit of every field set. edge holds one
-    byte per k-set, 1 on an edge: row i's entry is -1 on an edge and +1 on a
-    non-edge, and row n, the normalization row, is 1 on each non-edge."""
+    column j, the int with the top bit of every field set, and the int whose
+    field j is column j's sum. edge holds one byte per k-set, 1 on an edge:
+    row i's entry is -1 on an edge and +1 on a non-edge, and row n, the
+    normalization row, is 1 on each non-edge. So an edge column sums to -k
+    and a non-edge column to k + 1."""
     touched, rows, tops = columns.block(b, q)
     start, stop = columns.spans[b]
     flags = bytearray(q * (stop - start))
@@ -291,9 +293,10 @@ def _price_block(columns: _Columns, b: int, q: int, edge: bytes) -> tuple[list[i
     edges = int.from_bytes(flags, "little")
     non_edges = (tops >> 8 * q - 1) - edges
     packed = [x - 2 * (x & edges) for x in rows]
+    sums = (columns.k + 1) * non_edges - columns.k * edges
     if non_edges:
-        return touched + [columns.n], packed + [non_edges], tops
-    return touched, packed, tops
+        return touched + [columns.n], packed + [non_edges], tops, sums
+    return touched, packed, tops, sums
 
 
 def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
@@ -335,25 +338,31 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     c_j = sum_i p_i A'_ij with p_i = z[i] - d. The k-set columns are cut, in
     order, into blocks of 16, 32, 64, ... columns; a block keeps, for each
     row i its columns meet, one int R_i whose field j of f bits is A'_ij,
-    0 or +-1, so sum_i p_i R_i is the int whose field j is c_j. Column j
-    has at most k+1 nonzeros, so |c_j| <= (k+1) max_i |p_i| < 2^(need-1),
-    need being read off the prices before each scan, and f >= need. Adding
+    0 or +-1, and the int S_b = (k+1) N - k E whose field j is column j's
+    sum, E and N having a 1 in the field of each edge and non-edge column.
+    Packing is linear, so sum_i z[i] R_i - d S_b is the same int as
+    sum_i p_i R_i, whose field j is c_j: the scan prices from z and the
+    block's S_b, with no list of prices. Column j has at most k+1 nonzeros,
+    so |c_j| <= (k+1) max_i |p_i| < 2^(need-1), need being read off
+    max(z) - d and d - min(z) before each scan, and f >= need. Adding
     the top bit 2^(f-1) of every field therefore puts c_j + 2^(f-1) in
     [0, 2^f) in field j: no field borrows from or carries into the next,
     and field j's top bit is clear exactly when c_j < 0. The lowest clear
     top bit of the first block that has one is Bland's entering column, the
     one a column-by-column scan returns, so pivots and certificates do not
-    change. f is a whole number of bytes (_price_bytes). A block's rows
-    come from the shape's _Columns, which builds the 0/1 vertex rows of
-    each (block, width) once, from one byte per row and column, and keeps
-    them for every later decide of (n, k); a decide signs them the first
-    time its scan reaches the block, as x - 2 (x & e) with e the block's
-    edge flags, and adds row n, the non-edge flags. All are dropped, to be
-    signed again at the new width, only when need outgrows f. The blocks
-    double so that a scan stopping in column j has priced at most 2j + 16
-    columns, one block sum each of a logarithmic number of blocks. On
-    average a scan reads 38 of 172 columns on the decide-random bench's
-    instances, 73 of 11175 on a G(150, 1/2) graph.
+    change; the bound on f and the top-bit test are those of sum_i p_i R_i,
+    unchanged by how the int is summed. f is a whole number of bytes
+    (_price_bytes). A block's rows come from the shape's _Columns, which
+    builds the 0/1 vertex rows of each (block, width) once, from one byte
+    per row and column, and keeps them for every later decide of (n, k); a
+    decide signs them the first time its scan reaches the block, as
+    x - 2 (x & e) with e the block's edge flags, and adds row n, the
+    non-edge flags, and S_b. All are dropped, to be signed again at the new
+    width, only when need outgrows f. The blocks double so that a scan
+    stopping in column j has priced at most 2j + 16 columns, one block sum
+    each of a logarithmic number of blocks. On average a scan reads 38 of
+    172 columns on the decide-random bench's instances, 73 of 11175 on a
+    G(150, 1/2) graph.
 
     Two gates run before anything is built. The C(n,k) gate runs on every
     call, at budget (KSET_BUDGET when None). A decide that builds its
@@ -380,26 +389,26 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
     bias = half * (ones := sum(1 << s for s in shifts))
     cols = [1 << s for s in shifts] + [1 << w * n]
     basis = [m + i for i in range(n + 1)]
-    # Phase-I objective row on the artificial columns plus its rhs cell (minus
-    # the objective value). d times the dual price of row i is d - z[i], so
-    # the reduced cost of y-column j is sum_i (z[i] - d) A'_ij.
-    z = [0] * (n + 1) + [-1]
+    # Phase-I objective row on the artificial columns, z, and its rhs cell,
+    # obj (minus the objective value). d times the dual price of row i is
+    # d - z[i], so the reduced cost of y-column j is sum_i (z[i] - d) A'_ij.
+    z = [0] * (n + 1)
+    obj = -1
     d = 1
 
-    blocks: list[tuple[list[int], list[int], int]] = []
+    blocks: list[tuple[list[int], list[int], int, int]] = []
     f = 0  # bits per field of the blocks
 
-    while z[-1]:
-        price = [c - d for c in z[:-1]]
-        need = ((h.k + 1) * max(max(price), -min(price))).bit_length() + 1
+    while obj:
+        need = ((h.k + 1) * max(max(z) - d, d - min(z))).bit_length() + 1
         if need > f:
             q = _price_bytes(need)
             f, blocks = 8 * q, []
         for b, (start, stop) in enumerate(spans):
             if b == len(blocks):
                 blocks.append(_price_block(columns, b, q, edge))
-            touched, packed, tops = blocks[b]
-            costs = tops + sum(map(mul, map(price.__getitem__, touched), packed))
+            touched, packed, tops, sums = blocks[b]
+            costs = tops + sum(map(mul, map(z.__getitem__, touched), packed)) - d * sums
             if negative := tops & ~costs:
                 j = (negative & -negative).bit_length() // f - 1
                 pivot_col, cost = start + j, (costs >> f * j & (1 << f) - 1) - (1 << f - 1)
@@ -435,10 +444,11 @@ def decide(h: Hypergraph, budget: Optional[int] = None) -> Certificate:
         low = entering - (d << shift)
         cols = [(p * x - f * low) // d if f else x if p == d else p * x // d for x, f in zip(cols, prow)]
         z = [(p * a - cost * b) // d for a, b in zip(z, prow)]
+        obj = (p * obj - cost * prow[-1]) // d
         d = p
         basis[pivot_row] = pivot_col
 
-    if z[-1] == 0:  # objective 0: the alternative system is feasible, y = rhs / d, d scaled away in packaging
+    if obj == 0:  # objective 0: the alternative system is feasible, y = rhs / d, d scaled away in packaging
         rhs = [((cols[-1] + bias) >> s & mask) - half for s in shifts]
         return _package_equatable(h, {rows[j]: rhs[i] for i, j in enumerate(basis) if j < m and rhs[i]})
 

@@ -6,7 +6,8 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -15,6 +16,7 @@ from sephyp.errors import BudgetExceeded
 from sephyp.feasibility import (
     EquatableCertificate,
     SeparableCertificate,
+    _coprime,
     _field_width,
     _package_equatable,
     _package_separable,
@@ -129,12 +131,62 @@ class TestVerifiers:
                     violated += expected is not None
         assert 0 < violated < checked
 
+    def test_separating_violation_reads_every_rational_form(self):
+        # the same labeling as ints, decimal strings, Fractions and instances
+        # of a Fraction subclass (copied to Fractions, where exact Fractions
+        # are kept as they are); ints scaled by 4, which keeps every sign
+        class Quarter(Fraction):
+            pass
+
+        rng = random.Random(2907)
+        violated = 0
+        for h in _decide_random_sample():
+            quarters = [rng.randint(-40, 40) for _ in range(h.n)]
+            forms = [quarters, [f"{a / 4}" for a in quarters], [Fraction(a, 4) for a in quarters],
+                     [Quarter(a, 4) for a in quarters]]
+            expected = _per_kset_separating_violation(h, forms[2])
+            assert [separating_violation(h, x) for x in forms] == [expected] * 4, (h, quarters)
+            violated += expected is not None
+        assert violated
+
     def test_balance_aggregate(self, eq_six, eq_six_y, paving_five, paving_five_y, counterexample_nine, counterexample_nine_y):
         # summing the balance equations over vertices forces equal total mass
         for h, y in [(eq_six, eq_six_y), (paving_five, paving_five_y), (counterexample_nine, counterexample_nine_y)]:
             edge_mass = sum(v for g, v in y.items() if g in h.edges)
             non_mass = sum(v for g, v in y.items() if g not in h.edges)
             assert edge_mass == non_mass
+
+
+def _coprime_factor(values):
+    """The positive rational scaling values, ints or Fractions, to coprime
+    integers (1 if all are 0), worked out in Fractions: the reference that
+    _coprime, which scales in ints, is checked against."""
+    nonzero = [v for v in values if v]
+    if not nonzero:
+        return Fraction(1)
+    denom_lcm = lcm(*(v.denominator for v in nonzero))
+    return Fraction(denom_lcm, gcd(*(v.numerator * (denom_lcm // v.denominator) for v in nonzero)))
+
+
+class TestCoprime:
+    @pytest.mark.parametrize("values", [
+        [], [0], [0, 0, 0], [Fraction(0), 0, Fraction(0, 5)], [6, -4, 10], [-3], [0, -7, 14, 0],
+        [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)], [Fraction(-2, 3)], [Fraction(6, 7), Fraction(-12, 7)],
+        [3, Fraction(1, 3), 0, Fraction(-5, 9)], [Fraction(7), 14, Fraction(-21, 2)], [1 << 200, -(1 << 100), 3 << 50],
+    ])
+    def test_matches_the_rational_factor(self, values):
+        expected = [v * _coprime_factor(values) for v in values]
+        got = _coprime(values)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+    def test_matches_on_random_lists(self):
+        rng = random.Random(2911)
+        for _ in range(500):
+            values = [rng.choice((rng.randint(-30, 30), Fraction(rng.randint(-30, 30), rng.randint(1, 12))))
+                      for _ in range(rng.randint(1, 8))]
+            expected = [v * _coprime_factor(values) for v in values]
+            assert repr(_coprime(values)) == repr(expected), values
 
 
 class TestDecide:
@@ -554,6 +606,47 @@ class TestPackedTableau:
             agree(cold)
             built = [q for columns in feasibility._column_index.values() for _, q in columns.blocks]
             assert built and min(built) >= 2
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (9, 3), (11, 4), (30, 3)])
+    def test_block_costs_price_from_z_and_column_sums(self, monkeypatch, n, k):
+        # decide prices block b as tops + sum_i z_i R_i - d S_b, S_b the
+        # block's column sums: the int tops + sum_i (z_i - d) R_i, whose field j
+        # is c_j + 2^(f-1) at the width decide picks from z and d
+        monkeypatch.setattr(feasibility, "_column_index", {})
+        rng = random.Random(n * 100 + k)
+        columns = feasibility._columns(n, k, None)
+        for trial in range(4):
+            z = [rng.randint(-50, 50) << rng.randrange(20) for _ in range(n + 1)]
+            d = rng.randint(1, 50) << rng.randrange(20)
+            edge = bytes(rng.randrange(2) for _ in columns.rows)
+            need = ((k + 1) * max(max(z) - d, d - min(z))).bit_length() + 1
+            q = feasibility._price_bytes(need)
+            f = 8 * q
+            for b, (start, stop) in enumerate(columns.spans):
+                touched, packed, tops, sums = feasibility._price_block(columns, b, q, edge)
+                costs = tops + sum(map(mul, map(z.__getitem__, touched), packed)) - d * sums
+                assert costs == tops + sum((z[i] - d) * x for i, x in zip(touched, packed)), (trial, b)
+                for j, g in enumerate(columns.rows[start:stop]):
+                    cost = sum(z[v - 1] - d for v in g)
+                    cost = -cost if edge[start + j] else cost + z[n] - d
+                    assert (costs >> f * j & (1 << f) - 1) - (1 << f - 1) == cost, (trial, b, g)
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_degenerate_paths_agree_with_list_tableau(self, n):
+        # Bland's tie-break walks a degenerate path of 2^(n-1) - 1 pivots on
+        # the empty graph and 2^(n-2) - 1 on the graph whose only edge is
+        # (n-1, n), each ending in the artificial-column scan that finds none
+        for h, pivots in ((Hypergraph(n, 2, frozenset()), (1 << n - 1) - 1),
+                          (Hypergraph(n, 2, frozenset({(n - 1, n)})), (1 << n - 2) - 1)):
+            cert, made, zero_at = _list_tableau_decide(h)
+            assert (made, zero_at, cert.kind) == (pivots, None, "separable")
+            assert decide(h) == cert, (n, sorted(h.edges))
+
+    def test_empty_three_uniform_path_agrees_with_list_tableau(self):
+        h = Hypergraph(9, 3, frozenset())
+        cert, made, _ = _list_tableau_decide(h)
+        assert made == 127
+        assert decide(h) == cert
 
     def test_stop_at_objective_zero_keeps_the_certificate(self):
         # decide stops once the objective is zero; the reference runs on to
