@@ -23,7 +23,9 @@ on each Fourier-Motzkin stage once it is built:
     analyze --monotone, --summable          pairs and lookups     4000000
     analyze --exchangeable                  edge pairs times k^2  4000000
     basis exchange: matroid, adversary,     basis pairs, |B|^2    4000000
-      every gf2 or graph instance
+      every gf2 or graph instance           (the kept unit; the
+                                            scan makes at most
+                                            |B|*k*(n-k) lookups)
     matroid lines                           pairs times bases     4000000
     matroid circuits, matroid binary        lookups, |B|*k*(n-k)  4000000
     a hypergraph's edge masks, built once   64-bit words, one per 4000000
@@ -31,7 +33,8 @@ on each Fourier-Motzkin stage once it is built:
       --summable, --monotone and every      each edge's largest
       matroid subcommand
     search-cert                             support combinations  5000000
-    matroid loops, analyze --orderable      vertices, n           1000000
+    matroid loops, matroid lines,           vertices, n           1000000
+      analyze --orderable
     enumerate: orbit tables (not changed    permutations times    200000
       by SEPHYP_BUDGET; past it, each       k-sets, n!*C(n,k)
       instance is decided on its own)

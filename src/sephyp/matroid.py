@@ -35,41 +35,25 @@ def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
     The sets are distinct vertex masks (see _vertex_mask). This is the one
     basis-exchange loop: exchange_violation and the harness mask filter call it.
 
-    The first set runs the pair loop this defines, s2 by s2 and then v1 by
-    v1: most non-matroids fail there, before has is built. The rest are
-    scanned per (set, element), and the scan returns what the pair loop
-    would. has[v] is the bitset of the list positions of the sets holding v. Fix s1 and v1 in s1, and let N be the v2 outside s1 with
-    s1 - v1 + v2 a set; a v2 in no set makes no set, so only the union of
-    the sets is looked up. s2 fails at v1 iff v1 is not in s2 and no v2 in
-    s2 - s1 is in N; as N misses s1, iff s2 meets neither v1 nor N, iff its
-    position is outside reach, the OR of has[v] over v1 and N. s1 itself
-    never fails, as it holds v1. The pair loop returns the first s1 with a
-    failing s2, the first such s2, and the least v1 failing there: so, the
-    first s1 with a position outside some reach, the lowest such position,
-    and the least v1 whose reach misses it. Once some v1 fails at a
-    position, a later v1 can only win below it, so a later v1 whose has[v1]
-    already holds every position below makes no lookup.
+    Each set s1 is scanned element by element, and the scan returns what
+    the pair loop over (s1, s2), then v1, would. has[v] is the bitset of the
+    list positions of the sets holding v. Fix s1 and v1 in s1, and let N be
+    the v2 outside s1 with s1 - v1 + v2 a set; a v2 in no set makes no set,
+    so only the union of the sets is looked up. s2 fails at v1 iff v1 is not
+    in s2 and no v2 in s2 - s1 is in N; as N misses s1, iff s2 meets neither
+    v1 nor N, iff its position is outside reach, the OR of has[v] over v1
+    and N. s1 itself never fails, as it holds v1. The pair loop returns the
+    first s1 with a failing s2, the first such s2, and the least v1 failing
+    there: so, the first s1 with a position outside some reach, the lowest
+    such position, and the least v1 whose reach misses it. Once some v1
+    fails at a position, a later v1 can only win below it, so a later v1
+    whose has[v1] already holds every position below makes no lookup.
 
-    Work, for |B| sets of k of the n vertices in their union: the first set
-    makes at most k·(n-k) lookups per s2; then |B|·k updates build has, and
-    each later set and element at most n - k lookups and as many ORs of
-    |B|-bit ints. At most 2·|B|·k·(n-k) lookups in all.
+    Work, for |B| sets of k of the n vertices in their union: |B|·k updates
+    build has, then each set and element makes at most n - k lookups and as
+    many ORs of |B|-bit ints. At most |B|·k·(n-k) lookups in all.
     """
     present = set(sets)
-    s1 = sets[0] if sets else 0
-    for s2 in sets:
-        only1 = s1 & ~s2
-        while only1:
-            b1 = only1 & -only1
-            base, rest = s1 ^ b1, s2 & ~s1
-            while rest:
-                b2 = rest & -rest
-                if base | b2 in present:
-                    break
-                rest ^= b2
-            else:
-                return s1, s2, b1.bit_length() - 1
-            only1 ^= b1
     has = [0] * max(sets, default=0).bit_length()
     bit = 1
     for s in sets:
@@ -77,7 +61,7 @@ def _mask_exchange_violation(sets: list[int]) -> Optional[tuple[int, int, int]]:
             has[v] |= bit
         bit <<= 1
     union = [(1 << v, positions) for v, positions in enumerate(has) if positions]
-    for s1 in sets[1:]:
+    for s1 in sets:
         outside = [(b, positions) for b, positions in union if not s1 & b]
         need, first = bit - 1, None  # the positions a v1 can still win at: all, then those below the first failure
         for v1 in _mask_kset(s1):
@@ -108,7 +92,7 @@ def exchange_violation(h: Hypergraph, budget: Optional[int] = None) -> Optional[
     The |B|^2 ordered basis pairs are gated first (PAIR_SCAN_BUDGET when None):
     the unit of the pair loop over every basis that _mask_exchange_violation
     replaced, kept so every refusal stays the same, although it makes at most
-    2·|B|·k·(n-k) lookups."""
+    |B|·k·(n-k) lookups."""
     check_budget(budget, PAIR_SCAN_BUDGET, lambda cap: [len(h.edges) ** 2],
                  "basis exchange scan of {} bases", len(h.edges))
     bad = _mask_exchange_violation(h.edge_masks(budget))

@@ -584,6 +584,19 @@ class TestLargeInstance:
         if code == 65:
             assert done.stderr.startswith(b"budget exceeded: vertex masks of ")
 
+    @pytest.mark.parametrize("edges, argv, work", [
+        ([[1], [2]], ["matroid", "loops", "FILE"], "loops among"),
+        ([[1], [2]], ["matroid", "lines", "FILE"], "loops among"),
+        ([[1, 2]], ["analyze", "FILE", "--orderable"], "ordering"),
+    ], ids=["matroid loops", "matroid lines", "analyze --orderable"])
+    def test_vertex_list_past_its_cap_refused(self, tmp_path, edges, argv, work):
+        # one vertex past the cap: the edges are tiny, but each answer lists every vertex
+        inst = tmp_path / "wide.json"
+        inst.write_text(json.dumps({"type": "hypergraph", "n": 1_000_001, "k": len(edges[0]), "edges": edges}))
+        done = self.cli(*(str(inst) if a == "FILE" else a for a in argv))
+        assert (done.returncode, done.stderr) == (
+            65, f"budget exceeded: {work} 1000001 vertices exceeds budget 1000000\n".encode())
+
     def test_paving_of_one_basis(self, tmp_path):
         # paving is read off the bases' (k-1)-subsets, not the C(40,19) universe
         inst = tmp_path / "one.json"

@@ -546,7 +546,8 @@ def test_mask_walk_matches_the_bit_loop():
 ], ids=["U(299,300)", "2000-coloops-and-100-parallel", "two-disjoint-3000-sets"])
 def test_exchange_scan_of_wide_sets_is_quick(sets):
     # two matroids, one with no coloop and one with 2000, and two sets that
-    # fail at once, in the first set's pair loop. Looking up only the
+    # fail at the first set's first element, after which each later element
+    # of that set makes no lookup. Looking up only the
     # vertices outside s1, and skipping each v1 whose has[v1] already holds
     # every position it could fail at, keep each matroid to about 10^5
     # lookups; without either, one of them makes about 10^7 lookups of wide
